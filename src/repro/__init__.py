@@ -12,7 +12,7 @@ Quick start
 >>> import numpy as np
 >>> from repro import Simulator
 >>> K = np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, 1.0]])
->>> sim = Simulator()   # or Simulator(backend="scipy", max_workers=4, cache=...)
+>>> sim = Simulator()   # or Simulator(backend="scipy", cache=...)
 >>> envelopes = sim.envelopes(K, 100_000, seed=1).envelopes
 
 Package map
@@ -37,8 +37,10 @@ Package map
     Numerical substrates.
 ``repro.validation``
     Statistical acceptance checks (covariance match, Rayleigh fit).
-``repro.parallel``
-    Chunked and multi-process ensemble generation.
+``repro.shard``
+    Sharded sweeps: contiguous plan slices run in worker processes over a
+    shared cache directory (the only multi-process path; sessions use
+    threads).
 ``repro.experiments``
     One module per paper figure/table plus ablations; also exposed through
     ``python -m repro``.

@@ -2,10 +2,9 @@
 
 Before this module the package had several parallel front doors — the
 one-call helpers in :mod:`repro.core.pipeline`, the plan/compile/execute
-engine in :mod:`repro.engine`, :class:`repro.channels.scenario.ScenarioSweep`
-for sweeps, and :func:`repro.parallel.ensemble.run_plan_parallel` for
-process-pool runs.  A :class:`Simulator` is the single public entry point
-that fronts all of them:
+engine in :mod:`repro.engine`, and :class:`repro.channels.scenario.ScenarioSweep`
+for sweeps.  A :class:`Simulator` is the single public entry point that
+fronts all of them:
 
 >>> import numpy as np
 >>> from repro.api import Simulator
@@ -23,9 +22,12 @@ Sessions own three resources:
   matmul implementation from :mod:`repro.engine.backends`;
 * a **decomposition cache** (``cache=``) — shared across every run the
   session executes (``None`` uses the process-wide cache);
-* a **worker budget** (``max_workers=``) — ``run`` partitions plans across
-  a process pool when the budget exceeds one, and ``submit`` sizes its
-  thread pool from it for async multiplexing.
+* a **thread budget** (``max_workers=``) — the size of ``submit``'s
+  thread pool for async multiplexing.
+
+Every run executes in-process on the session's own engine, so its caches
+see every compile.  Parallelism follows one rule: threads inside a process
+(``submit``), :mod:`repro.shard` across processes.
 
 ``await sim.submit(plan, n)`` makes the session awaitable-friendly: many
 concurrent studies can be multiplexed over one session with
@@ -44,20 +46,18 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULTS, NumericDefaults, cache_dir_from_env
+from .config import DEFAULTS, NumericDefaults
 from .engine import (
     BackendSpec,
     BatchResult,
     CompiledPlan,
-    CompiledPlanCache,
     DecompositionCache,
-    DopplerFilterCache,
     LinalgBackend,
     SimulationEngine,
     SimulationPlan,
@@ -69,79 +69,6 @@ __all__ = ["Simulator", "default_simulator"]
 
 #: What :meth:`Simulator.run` accepts as work.
 RunnableWork = Union[SimulationPlan, CompiledPlan, "ScenarioSweepLike"]
-
-
-def _run_subplan(
-    subplan: SimulationPlan,
-    n_samples: int,
-    backend: LinalgBackend,
-    cache_dir: Optional[str] = None,
-    plan_cache_dir: Optional[str] = None,
-) -> BatchResult:
-    """Worker: compile and execute one sub-plan with a private engine.
-
-    Module-level so it is picklable by :class:`ProcessPoolExecutor`.  The
-    backend instance itself travels to the worker (the built-in backends
-    reduce to their constructor arguments), so unregistered instances —
-    custom subclasses, non-default scipy drivers — work identically in
-    parallel and in-process runs.  Each worker uses its own in-memory
-    decomposition cache (process-wide caches are not shared across
-    processes), but when the parent session has a persistent ``cache_dir``
-    every worker attaches the same disk tier, so workers *do* share
-    decompositions, Doppler filters, and compiled sub-plan artifacts
-    through the filesystem (disk writes are atomic and corrupt reads
-    degrade to misses).  The parent decides
-    what to forward — explicit argument, an explicit cache's own disk
-    tier, or ``REPRO_CACHE_DIR`` for default-cache sessions — so an
-    explicitly memory-only session stays memory-only in workers too.
-    ``plan_cache_dir`` mirrors the *parent engine's* compiled-plan tier
-    separately, so a session whose plan tier is detached (an explicitly
-    hand-configured cache) keeps it detached in workers instead of
-    silently gaining whole-plan short-circuits only when a run happens to
-    parallelize.
-    """
-    if cache_dir is None:
-        engine = SimulationEngine(cache=DecompositionCache(), backend=backend)
-    else:
-        engine = SimulationEngine(
-            cache=DecompositionCache(cache_dir=cache_dir),
-            filter_cache=DopplerFilterCache(cache_dir=cache_dir),
-            plan_cache=CompiledPlanCache(plan_cache_dir),
-            backend=backend,
-        )
-    return engine.run(subplan, n_samples)
-
-
-def _merge_results(
-    partials: Sequence[BatchResult],
-    n_samples: int,
-    wall_seconds: float,
-    backend_name: str,
-) -> BatchResult:
-    """Reassemble worker results into one plan-ordered :class:`BatchResult`.
-
-    Cache and dedup counters are summed across workers (each worker compiled
-    against a private cache); ``compile_seconds`` is the maximum over
-    workers because the compiles ran concurrently, and ``execute_seconds``
-    is the caller-observed wall clock of the whole pool.
-    """
-    from .shard import merge_compile_reports
-
-    blocks: List[GaussianBlock] = []
-    for partial in partials:
-        blocks.extend(partial.blocks)
-    # Workers saw sub-plan-local indices; restore whole-plan indexing so
-    # metadata maps blocks back to the caller's plan entries.
-    for index, block in enumerate(blocks):
-        block.metadata["plan_index"] = index
-    report = merge_compile_reports([p.compile_report for p in partials])
-    return BatchResult(
-        blocks=tuple(blocks),
-        n_samples=int(n_samples),
-        compile_report=report,
-        execute_seconds=wall_seconds,
-        backend=backend_name,
-    )
 
 
 class Simulator:
@@ -173,10 +100,11 @@ class Simulator:
         (default) leaves caching in-memory unless the ``REPRO_CACHE_DIR``
         environment variable configured the process-wide caches.
     max_workers:
-        Worker budget.  ``None`` or 1 keeps everything in-process;
-        larger values let :meth:`run` partition plans across a process pool
-        (the old ``run_plan_parallel``) and size :meth:`submit`'s thread
-        pool for async multiplexing.
+        Size of :meth:`submit`'s thread pool (``None`` picks the
+        :class:`~concurrent.futures.ThreadPoolExecutor` default).  It never
+        changes what :meth:`run` computes or where: runs always execute
+        in-process.  Use :mod:`repro.shard` to spread a plan across
+        processes.
     defaults:
         Numeric tolerance bundle for the decomposition pipeline.
 
@@ -204,22 +132,6 @@ class Simulator:
         self._engine = SimulationEngine(
             cache=cache, defaults=defaults, backend=backend, cache_dir=cache_dir
         )
-        # The directory process-pool workers attach their disk tier to:
-        # the explicit argument; the disk tier a caller-supplied cache
-        # already carries (DecompositionCache(cache_dir=...) mixed in by
-        # hand) — which also keeps an explicitly memory-only cache
-        # memory-only in workers; or, for default-cache sessions only,
-        # REPRO_CACHE_DIR — mirroring what the parent's own default caches
-        # attach.
-        if cache_dir is None:
-            cache_dir = cache.cache_dir if cache is not None else cache_dir_from_env()
-        self._cache_dir = None if cache_dir is None else str(cache_dir)
-        # The compiled-plan tier is forwarded separately: workers attach it
-        # exactly when the parent engine's plan cache is attached, so the
-        # serial and parallel paths agree on whether whole-plan
-        # short-circuits may happen.
-        plan_dir = self._engine.plan_cache.cache_dir
-        self._plan_cache_dir = None if plan_dir is None else str(plan_dir)
         self._defaults = defaults
         self._max_workers = max_workers
         self._thread_pool: Optional[ThreadPoolExecutor] = None
@@ -247,12 +159,13 @@ class Simulator:
 
     @property
     def cache_dir(self) -> Optional[str]:
-        """The session's persistent cache directory (``None`` if in-memory)."""
-        return self._cache_dir
+        """The disk tier the session's decomposition cache attached (``None`` if in-memory)."""
+        cache_dir = self._engine.cache.cache_dir
+        return None if cache_dir is None else str(cache_dir)
 
     @property
     def max_workers(self) -> Optional[int]:
-        """The session's worker budget (``None`` means in-process)."""
+        """The size of :meth:`submit`'s thread pool (``None``: executor default)."""
         return self._max_workers
 
     @property
@@ -314,19 +227,14 @@ class Simulator:
     ) -> BatchResult:
         """Execute a plan, compiled plan, or scenario sweep as one batch.
 
-        With ``max_workers > 1`` and a multi-entry (un-compiled) plan, the
-        plan is partitioned into contiguous sub-plans executed across a
-        process pool — the session form of the old ``run_plan_parallel`` —
-        and the blocks are reassembled in plan order.  Results are
-        bit-identical to the in-process path because every entry draws from
-        its own seeded stream; the worker count is a pure throughput knob.
+        The run compiles against and executes on the session's own engine,
+        in the calling thread.
 
         Parameters
         ----------
         work:
-            A :class:`SimulationPlan`, a :class:`CompiledPlan` (always
-            executed in-process: its coloring matrices are already bound to
-            this session's backend), or a
+            A :class:`SimulationPlan`, a :class:`CompiledPlan` (its coloring
+            matrices are already bound to this session's backend), or a
             :class:`repro.channels.scenario.ScenarioSweep`.
         n_samples:
             Time samples per branch for every entry.
@@ -337,45 +245,7 @@ class Simulator:
         plan = self._coerce_plan(
             work, gaussian_powers=gaussian_powers, seed=seed, seeds=seeds
         )
-        workers = self._max_workers or 1
-        if (
-            workers <= 1
-            or isinstance(plan, CompiledPlan)
-            or plan.n_entries <= 1
-        ):
-            return self._engine.run(plan, n_samples)
-        return self._run_parallel(plan, n_samples, workers)
-
-    def _run_parallel(
-        self, plan: SimulationPlan, n_samples: int, workers: int
-    ) -> BatchResult:
-        """Partition ``plan`` across a process pool and merge the results."""
-        import time
-
-        if n_samples < 1:
-            raise ParallelExecutionError(f"n_samples must be >= 1, got {n_samples}")
-        subplans = plan.partition(int(workers))
-        backend = self.backend
-        start = time.perf_counter()
-        try:
-            with ProcessPoolExecutor(max_workers=len(subplans)) as pool:
-                futures = [
-                    pool.submit(
-                        _run_subplan,
-                        subplan,
-                        n_samples,
-                        backend,
-                        self._cache_dir,
-                        self._plan_cache_dir,
-                    )
-                    for subplan in subplans
-                ]
-                partials = [future.result() for future in futures]
-        except Exception as exc:  # pragma: no cover - depends on pool environment
-            raise ParallelExecutionError(f"parallel plan execution failed: {exc}") from exc
-        return _merge_results(
-            partials, n_samples, time.perf_counter() - start, backend.name
-        )
+        return self._engine.run(plan, n_samples)
 
     def stream(
         self,

@@ -15,7 +15,7 @@ The cache has two tiers:
 
 * an in-memory LRU (``maxsize`` entries), as before;
 * an optional **disk tier** (``cache_dir``) that spills entries as ``.npz``
-  files so repeated *processes* — CLI invocations, CI phases, process-pool
+  files so repeated *processes* — CLI invocations, CI phases, shard
   workers — skip recomputation too.
 
 The disk tier is one namespace (``decompositions/``) of the unified

@@ -444,11 +444,17 @@ def stream_plan(
 
     Memory stays bounded at one ``(B, N, block_size)`` batch regardless of
     the record length (plus at most ``M - 1`` buffered samples per Doppler
-    branch).  Per-entry generators persist across blocks, so concatenating
-    the streamed blocks of an entry equals one long :func:`execute_plan`
-    record cut into pieces — the streaming analogue of the batch/single
-    equivalence guarantee, for any block size, divisible into the IDFT
-    length or not.
+    branch).  Per-entry generators persist across blocks, which gives each
+    entry kind its streaming analogue of the batch/single equivalence
+    guarantee:
+
+    * a Doppler entry's concatenated blocks equal one long
+      :func:`execute_plan` record cut into pieces, for any block size,
+      divisible into the IDFT length or not;
+    * a snapshot entry's blocks equal repeated ``generate_gaussian(block_size)``
+      calls on one standalone generator.  They are *not* a cut-up long
+      record: each block draws a fresh ``(N, block_size)`` white matrix, so
+      the draw order differs from one ``(N, n_samples)`` draw.
     """
     if block_size < 1:
         raise GenerationError(f"block_size must be >= 1, got {block_size}")

@@ -17,8 +17,9 @@ same per-entry seeds, a Doppler entry is bit-identical to a standalone
 :class:`repro.core.realtime.RealTimeRayleighGenerator`.
 
 Plans are the unit of work the engine compiles (:mod:`repro.engine.compile`)
-and the unit the parallel layer partitions across processes
-(:func:`repro.parallel.ensemble.run_plan_parallel`).
+and the unit the sharded runner partitions across processes
+(:func:`repro.shard.slicing.partition_plan` over
+:meth:`SimulationPlan.partition`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,30 @@ from ..exceptions import SpecificationError
 from ..models.fading import FadingLike, FadingSpec, coerce_fading
 from ..types import SeedLike
 
-__all__ = ["DopplerSpec", "FadingSpec", "PlanEntry", "SimulationPlan"]
+__all__ = ["DopplerSpec", "FadingSpec", "PlanEntry", "SimulationPlan", "partition_counts"]
 
 _COLORING_METHODS = ("eigen", "cholesky", "svd")
 _PSD_METHODS = ("clip", "epsilon", "higham")
+
+
+def partition_counts(total: int, n_partitions: int) -> List[int]:
+    """Split ``total`` into ``n_partitions`` non-negative counts summing to ``total``.
+
+    The first ``total % n_partitions`` partitions receive one extra item, so
+    counts differ by at most one.
+
+    Raises
+    ------
+    ValueError
+        If ``total`` is negative or ``n_partitions`` is not positive.
+    """
+    if total < 0:
+        raise ValueError(f"total must be non-negative, got {total}")
+    if n_partitions <= 0:
+        raise ValueError(f"n_partitions must be positive, got {n_partitions}")
+    base, remainder = divmod(int(total), int(n_partitions))
+    return [base + (1 if index < remainder else 0) for index in range(n_partitions)]
+
 
 #: What callers may pass wherever a Doppler mode is expected: a ready
 #: :class:`DopplerSpec`, a bare normalized Doppler frequency (defaults for
@@ -415,8 +436,10 @@ class SimulationPlan:
         seed:
             Root seed; when given (and ``seeds`` is not), every entry
             receives an independent integer seed derived deterministically
-            from it — mirroring
-            :func:`repro.parallel.partition.build_worker_tasks`.
+            from it: entry ``k`` draws one integer from the ``k``-th child
+            of :func:`repro.random.spawn_rngs`.  An ``R``-replica
+            Monte-Carlo ensemble of one matrix ``K`` is therefore
+            ``from_specs([K] * R, seed=s)``.
         seeds:
             Explicit per-entry seeds (overrides ``seed``); must match
             ``len(specs)``.
@@ -439,7 +462,7 @@ class SimulationPlan:
             from ..random import spawn_rngs
 
             children = spawn_rngs(seed, len(specs))
-            # Plain integer seeds keep entries picklable for process pools.
+            # Plain integer seeds keep entries serializable for shard workers.
             seeds = [int(child.integers(0, np.iinfo(np.int64).max)) for child in children]
         else:
             seeds = [None] * len(specs)
@@ -495,17 +518,15 @@ class SimulationPlan:
         return sizes
 
     # ------------------------------------------------------------------ #
-    # Partitioning (for the parallel layer)
+    # Partitioning (for the sharded runner)
     # ------------------------------------------------------------------ #
     def partition(self, n_parts: int) -> List["SimulationPlan"]:
         """Split the plan into at most ``n_parts`` contiguous sub-plans.
 
         Entry order is preserved (sub-plan ``k`` holds a contiguous slice),
         counts differ by at most one, and empty sub-plans are dropped — the
-        same contract as :func:`repro.parallel.partition.partition_counts`.
+        same contract as :func:`partition_counts`.
         """
-        from ..parallel.partition import partition_counts
-
         counts = partition_counts(len(self._entries), n_parts)
         plans: List[SimulationPlan] = []
         cursor = 0

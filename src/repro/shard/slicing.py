@@ -145,8 +145,7 @@ def merge_compile_reports(reports: Sequence[CompileReport]) -> CompileReport:
 
     Cache and dedup counters add (every shard compiled independently);
     ``compile_seconds`` is the maximum because the compiles ran
-    concurrently — the same convention as the process-pool merge in
-    :mod:`repro.api`.
+    concurrently.
     """
     if not reports:
         raise SpecificationError("cannot merge an empty report sequence")

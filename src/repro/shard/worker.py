@@ -4,7 +4,7 @@ Launched by the runner as ``python -m repro.shard.worker <slice.json> --out
 PREFIX [--cache-dir DIR] [--backend NAME]``.  The worker decodes its slice
 payload, builds a private :class:`~repro.engine.SimulationEngine` whose
 three cache tiers attach to the caller-supplied shared ``cache_dir`` (the
-same configuration as the process-pool workers in :mod:`repro.api`), runs
+same configuration as ``Simulator(cache_dir=...)`` in :mod:`repro.api`), runs
 the sub-plan through the ordinary batched ``run`` path, and publishes two
 files:
 

@@ -16,9 +16,9 @@ from repro.api import Simulator, default_simulator
 from repro.channels import MIMOArrayScenario, ScenarioSweep
 from repro.core import CovarianceSpec, RayleighFadingGenerator
 from repro.core.pipeline import generate_correlated_envelopes, generate_from_scenario
+from repro.core.statistics import covariance_match_report
 from repro.engine import BatchResult, DecompositionCache, SimulationPlan
 from repro.exceptions import ParallelExecutionError, SpecificationError
-from repro.parallel import run_plan_parallel
 
 
 K2 = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 1.0]], dtype=complex)
@@ -77,49 +77,22 @@ class TestConstruction:
         with pytest.raises(SpecificationError):
             Simulator(cache=DecompositionCache(), cache_dir=tmp_path)
 
-    def test_explicit_cache_with_disk_tier_reaches_workers(self, tmp_path):
-        # The documented "mix" route: a hand-built persistent cache must
-        # hand its directory to process-pool workers too.
-        sim = Simulator(cache=DecompositionCache(cache_dir=tmp_path), max_workers=2)
+    def test_cache_dir_reads_the_engine_disk_tier(self, tmp_path):
+        # The documented "mix" route: a hand-built persistent cache is the
+        # session's disk tier, while the compiled-plan tier stays detached.
+        sim = Simulator(cache=DecompositionCache(cache_dir=tmp_path))
         assert sim.cache_dir == str(tmp_path)
-        # ... but NOT the compiled-plan tier: an explicitly hand-configured
-        # cache keeps the plan tier detached in the parent, so workers must
-        # keep it detached too (serial and parallel runs agree on whether
-        # whole-plan short-circuits may happen).
         assert sim.engine.plan_cache.cache_dir is None
-        assert sim._plan_cache_dir is None
 
-    def test_worker_engine_mirrors_parent_plan_tier(self, tmp_path):
-        # Exercise the worker entry point directly (no pool needed): the
-        # plan tier attaches in the worker exactly when the parent forwards
-        # its plan-cache directory.
-        from repro.api import _run_subplan
-        from repro.engine import resolve_backend
-
-        backend = resolve_backend(None)
-        _run_subplan(_plan(2), 8, backend, str(tmp_path / "a"), None)
-        assert (tmp_path / "a" / "decompositions").is_dir()
-        assert not (tmp_path / "a" / "plans").exists()
-
-        _run_subplan(_plan(2), 8, backend, str(tmp_path / "b"), str(tmp_path / "b"))
-        assert (tmp_path / "b" / "plans").is_dir()
-
-    def test_explicit_memory_only_cache_overrides_env_for_workers(
+    def test_explicit_memory_only_cache_ignores_env_dir(
         self, tmp_path, monkeypatch
     ):
-        # An explicit cache opt-out must hold in workers even when
-        # REPRO_CACHE_DIR is exported: parallel runs may not silently gain
-        # a disk tier the caller disabled.
+        # An explicit cache opt-out holds even when REPRO_CACHE_DIR is
+        # exported: the session may not silently gain a disk tier the
+        # caller disabled.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         sim = Simulator(cache=DecompositionCache(maxsize=0), max_workers=2)
         assert sim.cache_dir is None
-
-    def test_default_session_forwards_env_dir_to_workers(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        sim = Simulator(max_workers=2)
-        assert sim.cache_dir == str(tmp_path)
 
 
 class TestEnvelopes:
@@ -222,17 +195,21 @@ class TestRun:
             Simulator().run([np.eye(2)], 8)
 
     def test_parallel_run_bit_identical_to_in_process(self):
+        # max_workers sizes submit's thread pool only: run stays in-process
+        # on the session's own engine, so its cache sees every compile.
         plan = _plan(6)
-        sequential = Simulator(cache=DecompositionCache()).run(plan, 24)
-        parallel = Simulator(cache=DecompositionCache(), max_workers=2).run(plan, 24)
+        sequential = Simulator(cache=DecompositionCache()).run(plan, 8)
+        sim = Simulator(cache=DecompositionCache(), max_workers=4)
+        parallel = sim.run(plan, 8)
         assert isinstance(parallel, BatchResult)
         assert parallel.compile_report.n_entries == plan.n_entries
         for seq_block, par_block in zip(sequential.blocks, parallel.blocks):
-            assert np.array_equal(seq_block.samples, par_block.samples)
+            assert seq_block.samples.tobytes() == par_block.samples.tobytes()
         assert [b.metadata["plan_index"] for b in parallel.blocks] == list(range(6))
+        assert sim.cache_stats.misses == 6
 
     def test_parallel_run_with_unregistered_backend_instance(self):
-        # The instance itself travels to the workers; no registry lookup.
+        # An unregistered backend instance runs as-is; no registry lookup.
         from repro.engine import ScipyBackend
 
         backend = ScipyBackend(driver="evd")
@@ -263,7 +240,6 @@ class TestRun:
             assert np.array_equal(a.samples, b.samples)
 
     def test_single_entry_plan_stays_in_process(self):
-        # No pool spin-up for B=1; result identical either way.
         plan = _plan(1)
         a = Simulator(cache=DecompositionCache(), max_workers=4).run(plan, 8)
         b = Simulator(cache=DecompositionCache()).run(plan, 8)
@@ -277,6 +253,21 @@ class TestRun:
         assert "3 hits" in summary
         assert "hit rate" in summary
         assert "backend=numpy" in summary
+
+    def test_replica_ensemble_meets_covariance(self, eq22_covariance):
+        # A Monte-Carlo ensemble is a plan of R copies of one matrix with
+        # derived per-replica seeds.
+        plan = SimulationPlan.from_specs([eq22_covariance] * 4, seed=0)
+        result = Simulator(cache=DecompositionCache()).run(plan, 20_000)
+        reports = [
+            covariance_match_report(block.samples, eq22_covariance)
+            for block in result.blocks
+        ]
+        errors = np.array([report.relative_error for report in reports])
+        assert np.mean(errors) < 0.1
+        assert np.max(errors) < 0.2
+        pooled = sum(report.empirical for report in reports) / len(reports)
+        assert np.max(np.abs(pooled - eq22_covariance)) < 0.05
 
 
 class TestStream:
@@ -293,6 +284,24 @@ class TestStream:
         for batch, ref_batch in zip(streamed, reference):
             for block, ref_block in zip(batch.blocks, ref_batch.blocks):
                 assert np.array_equal(block.samples, ref_block.samples)
+
+    def test_streamed_statistics_cover_covariance(self, eq22_covariance):
+        plan = SimulationPlan()
+        plan.add(eq22_covariance, seed=1)
+        sim = Simulator(cache=DecompositionCache())
+        covariance = np.zeros_like(eq22_covariance)
+        power = mean = 0.0
+        total = 0
+        for batch in sim.stream(plan, block_size=20_000, n_blocks=10):
+            samples = batch.blocks[0].samples
+            covariance = covariance + samples @ samples.conj().T
+            power = power + np.sum(np.abs(samples) ** 2, axis=1)
+            mean = mean + np.sum(np.abs(samples), axis=1)
+            total += samples.shape[1]
+        assert total == 200_000
+        assert np.max(np.abs(covariance / total - eq22_covariance)) < 0.03
+        assert np.allclose(power / total, 1.0, atol=0.03)
+        assert np.allclose(mean / total, 0.8862, atol=0.02)
 
 
 class TestSubmit:
@@ -398,19 +407,3 @@ class TestSubmit:
         # The cancelled compile never reached the backend.
         assert backend.eigh_calls == 0
         sim.close()
-
-
-class TestRunPlanParallelWrapper:
-    def test_wrapper_matches_session(self):
-        plan = _plan(4)
-        blocks = run_plan_parallel(plan, 16, n_workers=2)
-        session = Simulator(cache=DecompositionCache()).run(plan, 16)
-        for block, expected in zip(blocks, session.blocks):
-            assert np.array_equal(block.samples, expected.samples)
-
-    def test_wrapper_accepts_backend(self):
-        plan = _plan(3)
-        blocks = run_plan_parallel(plan, 8, backend="scipy")
-        reference = run_plan_parallel(plan, 8)
-        for block, expected in zip(blocks, reference):
-            assert np.array_equal(block.samples, expected.samples)

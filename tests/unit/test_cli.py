@@ -43,7 +43,8 @@ class TestParser:
         assert args.port == 8437
         assert args.max_queue == 64
         assert args.dispatch_slots == 4
-        assert args.max_workers is None
+        # The simulator's thread pool is sized by --dispatch-slots.
+        assert not hasattr(args, "max_workers")
 
     def test_serve_command_parses_overrides(self, tmp_path):
         args = build_parser().parse_args(
@@ -53,7 +54,6 @@ class TestParser:
                 "--port", "0",
                 "--max-queue", "8",
                 "--dispatch-slots", "2",
-                "--max-workers", "6",
                 "--backend", "scipy",
                 "--cache-dir", str(tmp_path),
             ]
@@ -62,8 +62,9 @@ class TestParser:
         assert args.port == 0
         assert args.max_queue == 8
         assert args.dispatch_slots == 2
-        assert args.max_workers == 6
         assert args.backend == "scipy"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-workers", "6"])
 
     def test_serve_rejects_degenerate_limits(self):
         with pytest.raises(SystemExit):

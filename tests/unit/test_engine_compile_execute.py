@@ -16,8 +16,6 @@ from repro.engine import (
     stream_plan,
 )
 from repro.exceptions import DimensionError, GenerationError
-from repro.parallel import run_plan_parallel
-from repro.exceptions import ParallelExecutionError
 
 
 def _matrix(power, size=2):
@@ -216,24 +214,3 @@ class TestEngineFacade:
         engine = SimulationEngine(cache=DecompositionCache())
         engine.run(mixed_plan, 2)
         assert engine.cache_stats.misses == 3
-
-
-class TestPlanParallel:
-    def test_serial_equals_parallel(self, mixed_plan):
-        serial = run_plan_parallel(mixed_plan, 16, n_workers=1)
-        parallel = run_plan_parallel(mixed_plan, 16, n_workers=2)
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.samples, b.samples)
-
-    def test_rejects_empty_plan(self):
-        with pytest.raises(ParallelExecutionError):
-            run_plan_parallel(SimulationPlan(), 4)
-
-    def test_rejects_non_plan(self):
-        with pytest.raises(ParallelExecutionError):
-            run_plan_parallel([np.eye(2)], 4)
-
-    def test_rejects_bad_sample_count(self, mixed_plan):
-        with pytest.raises(ParallelExecutionError):
-            run_plan_parallel(mixed_plan, 0)

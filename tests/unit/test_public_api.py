@@ -40,7 +40,6 @@ class TestPublicExports:
         import repro.core
         import repro.experiments
         import repro.linalg
-        import repro.parallel
         import repro.random
         import repro.signal
         import repro.validation

@@ -97,6 +97,23 @@ class TestLifecycle:
 
         asyncio.run(scenario())
 
+    def test_multi_entry_plan_compiles_on_the_service_simulator(self):
+        # Flights run in-process on the simulator's own engine, so a
+        # multi-entry plan moves that session's cache counters.
+        plan = SimulationPlan.from_specs([BASE, 2 * BASE, 3 * BASE], seed=5)
+
+        async def scenario():
+            sim = _fresh_sim(max_workers=2)
+            async with EnvelopeService(sim, dispatch_slots=2) as service:
+                result = await service.result(service.submit(plan, 32))
+            assert sim.cache_stats.misses == 3
+            reference = _reference(plan, 32)
+            for block, expected in zip(result.blocks, reference.blocks):
+                assert block.samples.tobytes() == expected.samples.tobytes()
+            sim.close()
+
+        asyncio.run(scenario())
+
 
 class TestStatusAndResults:
     def test_status_lifecycle_and_unknown_ids(self):
