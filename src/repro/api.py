@@ -27,7 +27,9 @@ Sessions own three resources:
 
 Every run executes in-process on the session's own engine, so its caches
 see every compile.  Parallelism follows one rule: threads inside a process
-(``submit``), :mod:`repro.shard` across processes.
+(``submit``, and the execute pool that splits each large group across the
+cores of the process's CPU affinity mask), :mod:`repro.shard` across
+processes.
 
 ``await sim.submit(plan, n)`` makes the session awaitable-friendly: many
 concurrent studies can be multiplexed over one session with
@@ -228,7 +230,7 @@ class Simulator:
         """Execute a plan, compiled plan, or scenario sweep as one batch.
 
         The run compiles against and executes on the session's own engine,
-        in the calling thread.
+        in the calling thread (large groups split across the execute pool).
 
         Parameters
         ----------

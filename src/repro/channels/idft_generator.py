@@ -63,6 +63,7 @@ def batched_doppler_blocks(  # reprolint: hot-path
     input_variance_per_dim: float = 0.5,
     backend=None,
     workspace=None,
+    map_rows=None,
 ) -> ComplexArray:
     """Generate many Doppler-shaped streams with one stacked IDFT call.
 
@@ -117,6 +118,15 @@ def batched_doppler_blocks(  # reprolint: hot-path
         scratch** — a caller passing a workspace must consume (or copy)
         the result before the next call with the same workspace.  ``None``
         allocates per call and the result is independently owned.
+    map_rows:
+        Optional callable the draw-and-weight stage is handed to:
+        ``map_rows(work)`` must call ``work(slice(start, stop))`` for
+        contiguous runs of streams that cover ``0 .. len(rngs) - 1``
+        exactly once, in any order and possibly concurrently; the work on
+        a run touches only that run's rows and generators.  The batched
+        engine spreads the runs over its execute pool.  ``None`` does all
+        streams in one call.  The buffers are allocated, and the IDFT
+        runs, on the calling thread.
 
     Returns
     -------
@@ -141,19 +151,28 @@ def batched_doppler_blocks(  # reprolint: hot-path
     weighted = _weighted_scratch(workspace, n_streams, n_blocks, m)
     # reprolint: disable=hot-path-allocation (deliberate per-call draw buffer)
     draws = np.empty((n_streams, n_blocks, 2, m), dtype=np.float64)
-    for index, rng in enumerate(rngs):
-        # (n_blocks, 2, M) fills in C order: block 0's A then B, block 1's A
-        # then B, ... — the exact stream consumption of sequential
-        # complex_gaussian_pair draws.
-        ensure_rng(rng).standard_normal(
-            size=(n_blocks, 2, m), dtype=np.float64, out=draws[index]
-        )
-    np.multiply(draws, scale, out=draws)
-    # One vectorized weighting over every stream and block at once, written
-    # component-wise into the complex buffer.
-    np.multiply(coeffs, draws[:, :, 0, :], out=weighted.real)
-    np.multiply(coeffs, draws[:, :, 1, :], out=weighted.imag)
-    np.negative(weighted.imag, out=weighted.imag)
+
+    def draw_and_weight(rows: slice) -> None:
+        for index in range(rows.start, rows.stop):
+            # (n_blocks, 2, M) fills in C order: block 0's A then B, block
+            # 1's A then B, ... — the exact stream consumption of
+            # sequential complex_gaussian_pair draws.
+            ensure_rng(rngs[index]).standard_normal(
+                size=(n_blocks, 2, m), dtype=np.float64, out=draws[index]
+            )
+        part = draws[rows]
+        np.multiply(part, scale, out=part)
+        # One vectorized weighting over every block of the rows, written
+        # component-wise into the complex buffer.
+        out = weighted[rows]
+        np.multiply(coeffs, part[:, :, 0, :], out=out.real)
+        np.multiply(coeffs, part[:, :, 1, :], out=out.imag)
+        np.negative(out.imag, out=out.imag)
+
+    if map_rows is None:
+        draw_and_weight(slice(0, n_streams))
+    else:
+        map_rows(draw_and_weight)
     del draws  # free the draw buffer before the transform allocates/runs
     flat = weighted.reshape(n_streams * n_blocks, m)
     if backend is None:

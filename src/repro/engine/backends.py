@@ -40,13 +40,24 @@ this (asserted by the parity suite), device FFTs do not.  The optional
 caller-owned buffers (the execute kernels' allocation-light path); the base
 class provides copying fallbacks, so overriding them is purely a
 performance decision and never changes bytes.
+
+**Host BLAS threads.**  While the executor runs a group's chunks on its
+thread pool, every chunk issues its own coloring ``matmul``; a multi-threaded
+BLAS would then put its worker threads (which busy-wait after each call) on
+the cores the pool needs.  The executor enters :func:`one_blas_thread`
+around such a region, which holds the OpenBLAS numpy and scipy bundle at
+one thread (device backends do not use it).  Thread counts never change
+bytes.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
+import ctypes
+import os
 import threading
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -378,6 +389,102 @@ class TorchBackend(LinalgBackend):  # pragma: no cover - requires torch
 
     def __reduce__(self):
         return (type(self), (self.device,))
+
+
+# --------------------------------------------------------------------- #
+# Host BLAS threads
+# --------------------------------------------------------------------- #
+
+#: ``(get, set)`` thread-count symbols of the OpenBLAS builds numpy and
+#: scipy bundle (the scipy-openblas wheels prefix and suffix every symbol).
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+_BLAS_LOCK = threading.Lock()
+#: Number of callers inside :func:`one_blas_thread`; the first one in sets
+#: every OpenBLAS to one thread, the last one out restores ``_BLAS_SAVED``.
+_BLAS_HOLDERS = 0
+#: ``(set, original count)`` per OpenBLAS while the count is held.
+_BLAS_SAVED: List[Tuple[Callable[[int], None], int]] = []
+#: The thread-count controls, found once on first use (``None`` before).
+_BLAS_CONTROLS: Optional[List[Tuple[Callable[[], int], Callable[[int], None]]]] = None
+
+
+def _openblas_controls() -> List[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """``(get, set)`` thread-count functions of every OpenBLAS in the process.
+
+    Found through ``/proc/self/maps`` and ``ctypes``; empty where there is
+    no such file or no OpenBLAS is loaded, which makes the guard a no-op.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf8") as handle:
+            paths = sorted(
+                {line.split()[-1] for line in handle if "openblas" in line.lower()}
+            )
+    except OSError:
+        return []
+    controls: List[Tuple[Callable[[], int], Callable[[int], None]]] = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            getter = getattr(library, get_name, None)
+            setter = getattr(library, set_name, None)
+            if getter is not None and setter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold the process's OpenBLAS at one thread while the block runs.
+
+    Refcounted under a lock: concurrent holders (service dispatch slots,
+    ``Simulator.submit`` threads) share one held region, and the original
+    thread counts come back only when the last holder leaves.
+    """
+    global _BLAS_CONTROLS, _BLAS_HOLDERS
+    with _BLAS_LOCK:
+        if _BLAS_HOLDERS == 0:
+            if _BLAS_CONTROLS is None:
+                _BLAS_CONTROLS = _openblas_controls()
+            for getter, setter in _BLAS_CONTROLS:
+                _BLAS_SAVED.append((setter, getter()))
+                setter(1)
+        _BLAS_HOLDERS += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _BLAS_HOLDERS -= 1
+            if _BLAS_HOLDERS == 0:
+                for setter, count in _BLAS_SAVED:
+                    setter(count)
+                _BLAS_SAVED.clear()
+
+
+def _after_fork_in_child() -> None:
+    """A forked child has none of its parent's holders: restore and reset."""
+    global _BLAS_LOCK, _BLAS_HOLDERS
+    _BLAS_LOCK = threading.Lock()
+    with _BLAS_LOCK:
+        for setter, count in _BLAS_SAVED:
+            setter(count)
+        _BLAS_SAVED.clear()
+        _BLAS_HOLDERS = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 # --------------------------------------------------------------------- #

@@ -426,6 +426,19 @@ class FadingStacks:
         self.weibull_scale: Optional[np.ndarray] = None
         self.shadow_gains: Optional[np.ndarray] = None
 
+    def rows(self, rows: slice) -> "FadingStacks":
+        """The operands of a contiguous run of the group's entries (views).
+
+        Every stacked operand leads with the entry axis, so a chunk of the
+        group's ``(B, N, n)`` record fades with ``stacks.rows(chunk)``
+        exactly as the whole record fades with ``stacks``.
+        """
+        part = FadingStacks()
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(part, name, value[rows] if isinstance(value, np.ndarray) else value)
+        return part
+
 
 def build_fading_stacks(entries: Sequence[Any]) -> Optional[FadingStacks]:  # reprolint: workspace-constructor
     """Stack one compiled group's fading operands (or ``None`` for Rayleigh).

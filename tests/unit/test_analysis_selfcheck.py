@@ -75,3 +75,48 @@ def test_lock_guarded_modules_produce_findings_when_unsuppressed():
     module = ModuleInfo(store, str(store), source)
     findings = list(LockDisciplineRule().run(Project(modules=[module])))
     assert any("_dir" in finding.message for finding in findings)
+
+
+def _findings(rule, path, source):
+    """``rule``'s unsuppressed findings on ``source`` read as ``path``."""
+    from repro.analysis.framework import ModuleInfo, Project
+
+    module = ModuleInfo(path, str(path), source)
+    return [
+        finding
+        for finding in rule.run(Project(modules=[module]))
+        if not module.is_suppressed(finding.rule, finding.line)
+    ]
+
+
+def test_execute_pool_and_blas_refcount_are_lock_guarded():
+    """The execute pool and the BLAS refcount are written under their locks,
+    so an unguarded access anywhere in their module is a finding."""
+    from repro.analysis.lock_discipline import LockDisciplineRule
+
+    probes = {
+        PACKAGE_DIR / "engine" / "execute.py": ("_POOL",),
+        PACKAGE_DIR / "engine" / "backends.py": ("_BLAS_HOLDERS", "_BLAS_CONTROLS"),
+    }
+    for path, names in probes.items():
+        source = path.read_text(encoding="utf8")
+        assert not _findings(LockDisciplineRule(), path, source)
+        for name in names:
+            probe = f"{source}\n\ndef _probe():\n    return {name}\n"
+            findings = _findings(LockDisciplineRule(), path, probe)
+            assert any(f"'{name}'" in finding.message for finding in findings), name
+
+
+def test_chunk_kernels_are_hot_paths():
+    """The pool tasks allocate nothing: their views come from the state."""
+    from repro.analysis.hot_path import HotPathAllocationRule
+
+    path = PACKAGE_DIR / "engine" / "execute.py"
+    source = path.read_text(encoding="utf8")
+    assert not _findings(HotPathAllocationRule(), path, source)
+    for kernel in ("_snapshot_chunk", "_color_chunk", "_fresh_chunk"):
+        header = source.index(f"def {kernel}(")
+        body = source.index('"""\n', source.index('"""', header) + 3) + 4
+        probe = source[:body] + "    np.empty(3)\n" + source[body:]
+        findings = _findings(HotPathAllocationRule(), path, probe)
+        assert any("np.empty" in finding.message for finding in findings), kernel
