@@ -30,16 +30,18 @@ sweeps and Monte-Carlo grids:
     (``"numpy"`` default, ``"scipy"`` LAPACK-driver variant, import-gated
     GPU backends) so backend choice is a constructor argument of
     :class:`SimulationEngine` / :class:`repro.api.Simulator`.
-:mod:`repro.engine.store` / :mod:`repro.engine.cache` /
-:mod:`repro.engine.filters` / :mod:`repro.engine.plancache`
-    The persistent artifact cache.  :class:`ArtifactStore` is the single
-    disk-tier implementation (atomic writes, digest verification,
-    quarantine-on-corrupt, LRU byte-bounded eviction) parameterized by
-    payload dump/load; its three namespaces under one ``cache_dir`` (CLI
-    ``--cache-dir``, env ``REPRO_CACHE_DIR``) are the content-hashed LRU
-    :class:`DecompositionCache`, the process-wide
+:mod:`repro.engine.tiered` / :mod:`repro.engine.store` /
+:mod:`repro.engine.cache` / :mod:`repro.engine.filters` / :mod:`repro.engine.plancache`
+    The artifact cache.  One internal ``TieredCache`` implements every
+    cache's memory LRU, disk promotion, spill-on-hit, invalidation,
+    counters and singleflight over one :class:`ArtifactStore` namespace
+    (the single disk-tier implementation: atomic writes, digest
+    verification, quarantine-on-corrupt, LRU byte-bounded eviction).  The
+    three caches under one ``cache_dir`` (CLI ``--cache-dir``, env
+    ``REPRO_CACHE_DIR``) are thin clients that supply a codec: the
+    content-hashed :class:`DecompositionCache`, the process-wide
     :class:`DopplerFilterCache` of Young–Beaulieu filters, and the
-    executor-level :class:`CompiledPlanCache` that loads *whole* compiled
+    executor-level :class:`CompiledPlanCache` that serves *whole* compiled
     plans without touching ``eigh``/``cholesky`` or filter construction.
     A disk hit is bit-identical to a fresh computation and a corrupt file
     is a miss, never an error.

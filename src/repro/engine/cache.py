@@ -2,42 +2,24 @@
 
 Planning a correlated-fading simulation is dominated by the ``O(N^3)``
 eigendecomposition (or Cholesky factorization) of the covariance matrix —
-work that parameter sweeps repeat needlessly whenever two scenarios share a
-covariance matrix (e.g. a Doppler sweep over a fixed antenna geometry, or a
-Monte-Carlo grid that varies only seeds).  :class:`DecompositionCache` is a
-thread-safe LRU cache of :class:`repro.linalg.ColoringDecomposition` objects
-keyed by a *content hash* of the covariance matrix together with every
-parameter that influences the decomposition (coloring method, PSD-forcing
-method, epsilon, numeric tolerances).  Hit/miss/eviction counters are exposed
-for the benchmark harness.
+work that parameter sweeps repeat whenever two scenarios share a matrix.
+:class:`DecompositionCache` keeps :class:`repro.linalg.ColoringDecomposition`
+objects under a *content hash* of the matrix and of every parameter that
+influences the decomposition, in an in-memory LRU of ``maxsize`` entries
+and an optional disk tier (``<cache_dir>/decompositions/``) that lets
+repeated *processes* — CLI invocations, CI phases, shard workers — skip the
+work too.  Both tiers are the one :class:`repro.engine.tiered.TieredCache`;
+this module only says what a key and a payload look like.
 
-The cache has two tiers:
-
-* an in-memory LRU (``maxsize`` entries), as before;
-* an optional **disk tier** (``cache_dir``) that spills entries as ``.npz``
-  files so repeated *processes* — CLI invocations, CI phases, shard
-  workers — skip recomputation too.
-
-The disk tier is one namespace (``decompositions/``) of the unified
-:class:`repro.engine.store.ArtifactStore`, which owns the whole persistence
-protocol — atomic write-then-rename, SHA-256 digest verification,
-quarantine-on-corrupt, stale-file sweeping, per-tier counters, and LRU
-byte-bounded eviction.  This module only says *what* a decomposition looks
-like on disk (the dump/load pair below); a corrupt or truncated file is a
-*miss*, never an error.
-
-The cache stores the exact object the single-matrix
-:func:`repro.core.coloring.compute_coloring` pipeline produces, and the disk
-round-trip preserves every array bit-for-bit (``.npz`` stores the raw float
-binary), so a cache hit — memory or disk — is bit-identical to a fresh
-computation: generation results never depend on the cache state.
+A hit — memory or disk — is bit-identical to a fresh
+:func:`repro.core.coloring.compute_coloring` (``.npz`` stores the raw float
+binary), and a corrupt or truncated file is a *miss*, never an error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -46,7 +28,8 @@ import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults, cache_dir_from_env
 from ..linalg import ColoringDecomposition
-from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
+from .store import DEFAULT_DISK_MAX_BYTES
+from .tiered import CacheFrontEnd, Codec, TieredCache
 
 __all__ = [
     "decomposition_cache_key",
@@ -182,6 +165,11 @@ def _freeze(decomposition: ColoringDecomposition) -> ColoringDecomposition:
     return decomposition
 
 
+#: The arrays of a decomposition's store payload (shared with the plan
+#: artifact, which stores every unique decomposition the same way).
+_ARRAY_FIELDS = ("coloring_matrix", "effective_covariance", "requested_covariance")
+
+
 def _dump_decomposition(
     decomposition: ColoringDecomposition,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
@@ -191,15 +179,7 @@ def _dump_decomposition(
     serialization fail, which the store treats as "keep this entry
     memory-only" — exotic strategy diagnostics never fail the run.
     """
-    arrays = {
-        "coloring_matrix": np.ascontiguousarray(decomposition.coloring_matrix),
-        "effective_covariance": np.ascontiguousarray(
-            decomposition.effective_covariance
-        ),
-        "requested_covariance": np.ascontiguousarray(
-            decomposition.requested_covariance
-        ),
-    }
+    arrays = {name: np.ascontiguousarray(getattr(decomposition, name)) for name in _ARRAY_FIELDS}
     meta = {
         "method": decomposition.method,
         "was_repaired": bool(decomposition.was_repaired),
@@ -215,9 +195,7 @@ def _load_decomposition(
 ) -> ColoringDecomposition:
     """Rebuild a decomposition from digest-verified store payload."""
     return ColoringDecomposition(
-        coloring_matrix=arrays["coloring_matrix"],
-        effective_covariance=arrays["effective_covariance"],
-        requested_covariance=arrays["requested_covariance"],
+        **{name: arrays[name] for name in _ARRAY_FIELDS},
         method=str(meta["method"]),
         was_repaired=bool(meta["was_repaired"]),
         negative_eigenvalue_count=int(meta["negative_eigenvalue_count"]),
@@ -226,7 +204,10 @@ def _load_decomposition(
     )
 
 
-class DecompositionCache:
+_CODEC = Codec(dump=_dump_decomposition, load=_load_decomposition, freeze=_freeze)
+
+
+class DecompositionCache(CacheFrontEnd):
     """Thread-safe two-tier (memory LRU + optional disk) decomposition cache.
 
     Parameters
@@ -271,172 +252,61 @@ class DecompositionCache:
         if maxsize < 0:
             raise ValueError(f"maxsize must be non-negative, got {maxsize}")
         self._maxsize = int(maxsize)
-        self._entries: "OrderedDict[str, ColoringDecomposition]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._store = ArtifactStore(
+        self._tiers = TieredCache(
             "decompositions",
-            dump=_dump_decomposition,
-            load=_load_decomposition,
+            _CODEC,
             cache_dir=cache_dir,
             format_version=_DISK_FORMAT_VERSION,
-            max_bytes=disk_max_bytes,
+            disk_max_bytes=disk_max_bytes,
+            max_weight=self._maxsize,
         )
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     @property
     def maxsize(self) -> int:
         """Maximum number of decompositions stored in memory."""
         return self._maxsize
 
     @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of the disk tier (``None`` when memory-only)."""
-        return self._store.cache_dir
-
-    @property
     def disk_max_bytes(self) -> int:
         """Byte bound of the disk tier."""
-        return self._store.max_bytes
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        """The underlying artifact store of the disk tier.
-
-        (Named ``artifact_store`` because :meth:`store` is the insertion
-        method of the cache itself.)
-        """
-        return self._store
+        return self._tiers.store.max_bytes
 
     @property
     def stats(self) -> CacheStats:
-        """Snapshot of the per-tier hit/miss/eviction counters.
-
-        Disk usage is measured by scanning the directory (outside the cache
-        lock — stats are maintenance, lookups must not queue behind them),
-        so the numbers reflect every process sharing the ``cache_dir``.
-        """
-        with self._lock:
-            counters = dict(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-            )
-        disk = self._store.stats
-        disk_entries, disk_bytes = self._store.usage()
+        """Snapshot of the per-tier hit/miss/eviction counters; disk usage
+        is scanned, so it reflects every process sharing the ``cache_dir``."""
+        tiers = self._tiers.stats
+        disk_entries, disk_bytes = self._tiers.store.usage()
         return CacheStats(
-            disk_hits=disk.hits,
-            disk_misses=disk.misses,
-            disk_evictions=disk.evictions,
-            disk_corruptions=disk.corruptions,
+            hits=tiers.hits,
+            misses=tiers.misses,
+            evictions=tiers.evictions,
+            size=tiers.entries,
+            disk_hits=tiers.disk.hits,
+            disk_misses=tiers.disk.misses,
+            disk_evictions=tiers.disk.evictions,
+            disk_corruptions=tiers.disk.corruptions,
             disk_entries=disk_entries,
             disk_bytes=disk_bytes,
-            **counters,
         )
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._tiers
 
-    # ------------------------------------------------------------------ #
-    # Disk tier plumbing
-    # ------------------------------------------------------------------ #
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the persistent disk tier.
-
-        Existing files under the directory become immediately visible as
-        disk entries; counters are kept.  The process-wide default cache is
-        configured this way by the CLI's ``--cache-dir`` option.
-        """
-        self._store.set_cache_dir(cache_dir)
-
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
     def lookup(self, key: str) -> Optional[ColoringDecomposition]:
-        """Return the cached decomposition for ``key`` or ``None`` (a miss).
-
-        The memory tier is consulted first; on a memory miss with a
-        configured ``cache_dir`` the disk tier is probed, verified, and —
-        on success — promoted back into memory.  Hits refresh the entry's
-        LRU position in both tiers; every outcome updates the counters.
-        All disk I/O happens outside the cache lock, so threads served by
-        the memory tier never queue behind another thread's file read.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-        if entry is not None:
-            if self._store.attached:
-                # Entries that predate the disk tier (cache warmed before
-                # set_cache_dir, or evicted disk files) spill on their next
-                # memory hit, so attaching a cache_dir to a warm cache
-                # still persists what it already holds; the store makes
-                # repeat calls free for keys already persisted (or known
-                # unwritable), and the guard keeps memory-only lookups off
-                # the store lock entirely.
-                self._store.put(key, entry)
-            return entry
-
-        loaded = self._store.lookup(key)
-        if loaded is None:
-            with self._lock:
-                self._misses += 1
-            return None
-        loaded = _freeze(loaded)
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                # Raced with a concurrent store/promotion of the same key:
-                # keep handing out the already-shared object.
-                self._entries.move_to_end(key)
-                loaded = existing
-            else:
-                self._store_memory_locked(key, loaded)
-            self._hits += 1
-            return loaded
-
-    def _store_memory_locked(
-        self, key: str, decomposition: ColoringDecomposition
-    ) -> None:
-        if self._maxsize == 0:
-            return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = decomposition
-            return
-        self._entries[key] = decomposition
-        while len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-            self._evictions += 1
+        """Return the cached decomposition for ``key`` or ``None`` (a miss);
+        a disk hit is promoted into memory."""
+        return self._tiers.lookup(key)
 
     def store(self, key: str, decomposition: ColoringDecomposition) -> None:
-        """Insert (or refresh) a decomposition in every configured tier.
+        """Insert a decomposition in every configured tier.
 
-        The stored arrays that the pipeline computes itself (coloring
-        matrix, effective covariance) are frozen read-only *before* any
-        tier-specific early return: whether or not this cache retains the
-        entry, callers receive the same immutable object a cache hit would
-        hand out, so an in-place mutation fails loudly in every
-        configuration instead of corrupting results in some.
-        ``requested_covariance`` may alias the caller's own matrix, so it
-        is left untouched.
+        Its computed arrays are frozen read-only whether or not this cache
+        retains the entry (see :func:`_freeze`), so an in-place mutation
+        fails loudly in every configuration instead of corrupting results
+        in some.
         """
-        decomposition = _freeze(decomposition)
-        with self._lock:
-            self._store_memory_locked(key, decomposition)
-        self._store.put(key, decomposition)
+        self._tiers.put(key, decomposition)
 
     def coloring_for(
         self,
@@ -468,34 +338,13 @@ class DecompositionCache:
         self.store(key, decomposition)
         return decomposition
 
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
     def clear(self) -> None:
         """Drop every decomposition stored in memory (counters are kept).
 
         The disk tier is untouched; use :meth:`clear_disk` (or the CLI's
         ``cache clear``) to remove persisted entries.
         """
-        with self._lock:
-            self._entries.clear()
-
-    def clear_disk(self) -> int:
-        """Remove every file of the disk tier (``.tmp`` and quarantine
-        leftovers included); returns the number of entries removed."""
-        return self._store.clear()
-
-    def disk_usage(self) -> Tuple[int, int]:
-        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
-        return self._store.usage()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters (entries are kept)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-        self._store.reset_stats()
+        self._tiers.clear_memory()
 
 
 #: Process-wide cache shared by the default engine and the generators

@@ -1,32 +1,21 @@
 """Process-wide + on-disk cache of Young–Beaulieu Doppler filters.
 
-Building the Eq. (21) filter ``F[k]`` is cheap next to an ``O(N^3)``
-decomposition, but it is pure overhead to repeat: the filter depends only on
-``(M, f_m)`` and its Eq. (19) output variance additionally on
-``sigma_orig^2``, and real workloads reuse a handful of keys across
-thousands of scenarios.  PR 3 memoized the build *per compile pass*;
-:class:`DopplerFilterCache` promotes that memo to a process-wide cache with
-an optional disk tier under the same ``cache_dir`` as the decomposition
-spill, so:
+The Eq. (21) filter ``F[k]`` depends only on ``(M, f_m)`` and its Eq. (19)
+output variance additionally on ``sigma_orig^2``; real workloads reuse a
+handful of keys across thousands of scenarios.  :class:`DopplerFilterCache`
+shares one build per key across every
+:func:`repro.engine.compile.compile_plan` pass and every
+:class:`repro.core.realtime.RealTimeRayleighGenerator` of a process, and —
+through ``<cache_dir>/filters/`` — across processes.  Both tiers are the
+one :class:`repro.engine.tiered.TieredCache`; this module only defines the
+key and the payload (a single coefficient array, frozen read-only because
+it is shared).
 
-* every :func:`repro.engine.compile.compile_plan` pass in a process shares
-  one build per unique ``(M, f_m, sigma_orig^2)``;
-* every :class:`repro.core.realtime.RealTimeRayleighGenerator` constructed
-  for the same Doppler settings shares the same coefficients;
-* repeated *processes* (CLI sweeps with ``--cache-dir``, CI phases) load the
-  coefficients from ``<cache_dir>/filters/*.npz`` instead of rebuilding.
-
-The disk tier is one namespace (``filters/``) of the unified
-:class:`repro.engine.store.ArtifactStore`, which owns the persistence
-protocol — atomic writes, digest verification, quarantine-on-corrupt,
-stale-file sweeping, eviction; this module only defines what a filter looks
-like on disk (a single coefficient array).  Cached coefficient arrays are
-frozen read-only — they are shared across compiles and generators.  A cache
-hit is bit-identical to a fresh
-:func:`repro.channels.doppler.young_beaulieu_filter` build: the disk
-round-trip stores the raw float64 binary, and the output variance is
-recomputed from the verified coefficients rather than trusted from the
-file.  A corrupt or truncated file is a miss, never an error.
+A hit is bit-identical to a fresh
+:func:`repro.channels.doppler.young_beaulieu_filter` build, and the output
+variance is recomputed from the coefficients on every call rather than
+cached or trusted from the file.  A corrupt or truncated file is a miss,
+never an error.
 """
 
 from __future__ import annotations
@@ -40,7 +29,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..config import cache_dir_from_env
-from .store import ArtifactStore
+from .tiered import CacheFrontEnd, Codec, TieredCache
 
 __all__ = [
     "FilterCacheStats",
@@ -97,19 +86,11 @@ class FilterCacheStats:
 def _key_hash(key: FilterKey) -> str:
     """File-name hash of a filter key (exact float reprs, no rounding)."""
     n_points, normalized_doppler, input_variance = key
-    token = "|".join(
-        (
-            repr(int(n_points)),
-            repr(float(normalized_doppler)),
-            repr(float(input_variance)),
-        )
-    )
+    token = f"{int(n_points)!r}|{float(normalized_doppler)!r}|{float(input_variance)!r}"
     return hashlib.sha256(token.encode("utf8")).hexdigest()
 
 
-def _dump_filter(
-    coefficients: np.ndarray,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+def _dump_filter(coefficients: np.ndarray) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """Store payload of one filter: the raw coefficient array."""
     return {"coefficients": np.ascontiguousarray(coefficients)}, {}
 
@@ -119,11 +100,19 @@ def _load_filter(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> np.ndar
     return arrays["coefficients"]
 
 
-class DopplerFilterCache:
+def _freeze_filter(coefficients: np.ndarray) -> np.ndarray:
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+_CODEC = Codec(dump=_dump_filter, load=_load_filter, freeze=_freeze_filter)
+
+
+class DopplerFilterCache(CacheFrontEnd):
     """Thread-safe cache of Young–Beaulieu filters and their output variances.
 
-    The memory tier is a plain dict keyed by ``(M, f_m, sigma_orig^2)``; the
-    optional disk tier lives next to the decomposition spill, so one
+    The memory tier is unbounded (real workloads use a handful of keys);
+    the optional disk tier lives next to the decomposition spill, so one
     ``cache_dir`` (CLI ``--cache-dir``, env ``REPRO_CACHE_DIR``, or
     ``Simulator(cache_dir=...)``) configures every artifact cache at once.
 
@@ -135,56 +124,23 @@ class DopplerFilterCache:
     """
 
     def __init__(self, cache_dir: Union[None, str, Path] = None) -> None:
-        self._entries: Dict[FilterKey, Tuple[np.ndarray, float]] = {}
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._store = ArtifactStore(
-            "filters",
-            dump=_dump_filter,
-            load=_load_filter,
-            cache_dir=cache_dir,
-            format_version=_DISK_FORMAT_VERSION,
+        self._tiers = TieredCache(
+            "filters", _CODEC, cache_dir=cache_dir, format_version=_DISK_FORMAT_VERSION
         )
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of the disk tier (``None`` when memory-only)."""
-        return self._store.cache_dir
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        """The underlying artifact store of the disk tier."""
-        return self._store
 
     @property
     def stats(self) -> FilterCacheStats:
         """Snapshot of the hit/miss counters."""
-        disk = self._store.stats
-        with self._lock:
-            return FilterCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                disk_hits=disk.hits,
-                disk_misses=disk.misses,
-                disk_corruptions=disk.corruptions,
-                size=len(self._entries),
-            )
+        tiers = self._tiers.stats
+        return FilterCacheStats(
+            hits=tiers.hits,
+            misses=tiers.misses,
+            disk_hits=tiers.disk.hits,
+            disk_misses=tiers.disk.misses,
+            disk_corruptions=tiers.disk.corruptions,
+            size=tiers.entries,
+        )
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the persistent disk tier."""
-        self._store.set_cache_dir(cache_dir)
-
-    # ------------------------------------------------------------------ #
-    # Core operation
-    # ------------------------------------------------------------------ #
     def get(
         self,
         n_points: int,
@@ -206,77 +162,22 @@ class DopplerFilterCache:
         """
         from ..channels.doppler import filter_output_variance, young_beaulieu_filter
 
-        key: FilterKey = (
-            int(n_points),
-            float(normalized_doppler),
-            float(input_variance_per_dim),
-        )
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._hits += 1
-        if cached is not None:
-            coefficients, variance = cached
-            if self._store.attached:
-                # Spill entries that predate the disk tier, so attaching a
-                # cache_dir to a warm cache still persists them; the store
-                # makes repeat calls free for keys already persisted (or
-                # unwritable).  Guarded so the common memory-only
-                # configuration pays no key hashing on its hot path.
-                self._store.put(_key_hash(key), coefficients)
-            return coefficients, variance, True
-
-        coefficients = self._store.lookup(_key_hash(key))
-        if coefficients is not None:
-            coefficients.flags.writeable = False
-            variance = filter_output_variance(coefficients, key[2])
-            with self._lock:
-                # Raced with a concurrent build/load of the same key: keep
-                # handing out the already-shared tuple.
-                coefficients, variance = self._entries.setdefault(
-                    key, (coefficients, variance)
-                )
-                self._hits += 1
-            return coefficients, variance, True
-
-        with self._lock:
-            self._misses += 1
-        # Build outside the lock: validation may raise, and concurrent
-        # builders of the same key produce identical bytes anyway.
-        coefficients = young_beaulieu_filter(key[0], key[1])
-        coefficients.flags.writeable = False
+        key: FilterKey = (int(n_points), float(normalized_doppler), float(input_variance_per_dim))
+        name = _key_hash(key)
+        coefficients = self._tiers.lookup(name)
+        was_cached = coefficients is not None
+        if coefficients is None:
+            coefficients = young_beaulieu_filter(key[0], key[1])
+        # Computed before a fresh build is stored, so an invalid variance
+        # raises without caching anything.
         variance = filter_output_variance(coefficients, key[2])
-        with self._lock:
-            coefficients, variance = self._entries.setdefault(
-                key, (coefficients, variance)
-            )
-        if self._store.attached:
-            self._store.put(_key_hash(key), coefficients)
-        return coefficients, variance, False
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def disk_usage(self) -> Tuple[int, int]:
-        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
-        return self._store.usage()
+        if not was_cached:
+            coefficients, _ = self._tiers.put(name, coefficients)
+        return coefficients, variance, was_cached
 
     def clear(self) -> None:
         """Drop every filter held in memory (counters and disk kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def clear_disk(self) -> int:
-        """Remove every file of the disk tier (``.tmp`` and quarantine
-        leftovers included); returns the number of entries removed."""
-        return self._store.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (entries are kept)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-        self._store.reset_stats()
+        self._tiers.clear_memory()
 
 
 #: Process-wide filter cache (created lazily so ``REPRO_CACHE_DIR`` is

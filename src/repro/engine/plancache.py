@@ -1,93 +1,55 @@
 """The compiled-plan cache: whole :class:`CompiledPlan` objects, two tiers.
 
-The decomposition and Doppler-filter tiers (PR 4) persist the *per-matrix*
-artifacts of compilation, but the compiled plan itself — grouping, coloring
-stacks, filter assembly, per-entry effective variances — was still rebuilt
-on every process start: a warm compile re-hashed every entry, probed the
-decomposition store once per unique matrix, and re-assembled every stack.
-:class:`CompiledPlanCache` is the executor-level cache on top of the
-unified :class:`repro.engine.store.ArtifactStore` (namespace ``plans/``)
-that short-circuits all of it: :func:`repro.engine.compile.compile_plan`
+:class:`CompiledPlanCache` is the executor-level cache above the per-matrix
+decomposition and filter caches: :func:`repro.engine.compile.compile_plan`
 content-hashes the ``(plan, backend namespace)`` pair and, on a hit, serves
 the full :class:`~repro.engine.compile.CompiledPlan` without touching
-``eigh``/``cholesky`` or filter construction at all.
+``eigh``/``cholesky``, filter construction or the per-matrix caches.
 
-Two tiers, probed memory-first:
+Its memory and disk (``plans/``) tiers are the one
+:class:`repro.engine.tiered.TieredCache`, weighed in resident bytes; both
+hold the same plan-independent entry, and every hit is re-bound to the
+caller's plan (seeds and labels come from it) with zero array copies.  The
+memory tier is **on by default exactly when a disk tier is attached** (the
+configurations that opt into plan caching); a detached cache is a no-op.
 
-* the **memory tier** — a byte-bounded LRU of compiled groups inside the
-  cache instance.  A hit re-binds the cached groups to the caller's plan
-  (seeds and labels come from it) with **zero disk I/O and zero array
-  copies**: the coloring stacks, decompositions, variances, and filter
-  arrays are the very objects of the original compile, shared read-only.
-  This is what makes a warm ``run(plan)``/``stream(plan)`` on one engine a
-  hash-plus-rebind, nothing more.
-* the **disk tier** — one verified artifact per key under ``plans/``,
-  unchanged from PR 5.  A disk hit is promoted into the memory tier, so
-  the first warm run of a process pays the load once and subsequent runs
-  hit memory.
+Keying: :func:`compiled_plan_cache_key` folds, per entry *in plan order*,
+the decomposition cache key (covariance bytes, methods, epsilon,
+tolerances, backend ``cache_token``), the white-sample variance, the full
+Doppler tuple (``M``, ``f_m``, ``sigma_orig^2``, the Eq. (19) compensation
+flag) and the fading-model token.  Seeds and labels are *excluded*, so a
+re-seeded sweep warm-starts from the same artifact; grouping is a pure
+function of the hashed fields and entry order, so two plans with equal
+keys compile to structurally identical plans.
 
-The memory tier is **enabled by default exactly when a disk tier is
-attached** (a ``cache_dir``), matching the engine configurations that opt
-into plan caching (``SimulationEngine(cache_dir=...)``, ``REPRO_CACHE_DIR``,
-the CLI's ``--cache-dir``); a detached cache stays the documented no-op so
-explicitly hand-configured engines and benchmarks keep their counters.
-Pass ``memory_max_bytes`` explicitly to run a pure-memory tier without a
-disk tier (or ``0`` to disable the memory tier of an attached cache).
-Coherence: :meth:`CompiledPlanCache.invalidate` evicts a key from *both*
-tiers — a quarantined disk artifact never leaves a stale memory entry
-behind.
-
-Keying
-------
-:func:`compiled_plan_cache_key` folds, per entry *in plan order*, the
-decomposition cache key (covariance bytes, coloring/PSD methods, epsilon,
-numeric tolerances, backend ``cache_token``) plus the white-sample variance,
-the full Doppler tuple (``M``, ``f_m``, ``sigma_orig^2``, the Eq. (19)
-compensation flag), and the fading-model token
-(:meth:`repro.models.fading.FadingSpec.fading_token`: model, shape
-parameter, shadowing spread).  Seeds and labels are deliberately *excluded*: they do
-not influence compilation, so a sweep that only re-seeds its scenarios
-warm-starts from the same artifact.  Because grouping is a pure function of
-the hashed fields and of entry order, two plans with equal keys compile to
-structurally identical plans — which is what lets a loaded artifact be
-re-bound to the *caller's* plan object (carrying the caller's seeds and
-labels) without any recomputation.
-
-Serialization
--------------
-One artifact stores, deduplicated across groups: the unique
-:class:`~repro.linalg.ColoringDecomposition` arrays plus diagnostics, the
-unique Young–Beaulieu filter coefficient arrays, and per group its entry
-indices, decomposition map, sample variances and Eq. (19) output variance.
-Coloring stacks are *not* stored — they are re-stacked from the
-decomposition arrays exactly as a fresh compile stacks them, which keeps
-the artifact small and the bytes identical.  The store handles atomic
-writes, digest verification, quarantine and eviction; a corrupt or
-truncated artifact is a **miss** (the plan recompiles and re-spills), never
-an error, and a disk hit is bit-identical to a fresh compilation — the two
-standing cache invariants carried over from PR 4.
+Serialization: one artifact stores, deduplicated across groups, the unique
+decompositions (through the decomposition cache's own codec), the unique
+filter arrays, and per group its entry indices, decomposition map, sample
+variances, Eq. (19) output variance and fading family.  Coloring stacks are
+re-stacked on load exactly as a fresh compile stacks them.  A corrupt or
+truncated artifact is a **miss** (the plan recompiles and re-spills), and a
+disk hit is bit-identical to a fresh compilation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults, cache_dir_from_env
-from ..linalg import ColoringDecomposition
-from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore, StoreStats
+from .cache import _ARRAY_FIELDS, _dump_decomposition, _freeze, _load_decomposition
+from .store import DEFAULT_DISK_MAX_BYTES, StoreStats
+from .tiered import CacheFrontEnd, Codec, TieredCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .backends import LinalgBackend
-    from .compile import CompiledGroup, CompiledPlan, CompileReport
+    from .compile import CompiledGroup, CompiledPlan
     from .plan import SimulationPlan
 
 __all__ = [
@@ -99,10 +61,11 @@ __all__ = [
 ]
 
 #: On-disk payload-layout version of compiled-plan artifacts.  Version 2
-#: folds the per-entry fading token into the key (the version is part of
-#: the key prefix, so pre-fading v1 artifacts simply never hit again —
-#: clean invalidation, no migration).
-_DISK_FORMAT_VERSION = 2
+#: folded the per-entry fading token into the key; version 3 stores each
+#: decomposition with the decomposition cache's codec and each group's
+#: fading family.  The version is part of the key prefix, so older
+#: artifacts simply never hit again — clean invalidation, no migration.
+_DISK_FORMAT_VERSION = 3
 
 #: Default byte bound of the in-memory tier when a disk tier is attached.
 DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
@@ -131,343 +94,183 @@ def compiled_plan_cache_key(
         # The entry cache key already folds the matrix bytes, methods,
         # epsilon, tolerances, and the backend token (memoized per entry).
         hasher.update(entry.cache_key(defaults, cache_token).encode("ascii"))
-        doppler = entry.doppler
+        doppler, fading = entry.doppler, entry.fading
         doppler_token = (
-            None
-            if doppler is None
-            else (
-                doppler.n_points,
-                doppler.normalized_doppler,
-                doppler.input_variance_per_dim,
-                doppler.compensate_variance,
-            )
+            None if doppler is None else (*doppler.filter_key, doppler.compensate_variance)
         )
-        fading = entry.fading
         fading_token = None if fading is None else fading.fading_token()
-        hasher.update(
-            repr(
-                (float(entry.sample_variance), doppler_token, fading_token)
-            ).encode("utf8")
-        )
+        token = (float(entry.sample_variance), doppler_token, fading_token)
+        hasher.update(repr(token).encode("utf8"))
     return hasher.hexdigest()
 
 
-def _identity_dump(payload: Any) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    return payload
+class _Resident(NamedTuple):
+    """One cached compiled plan, independent of any caller's plan object:
+    ``groups`` hold every array but no entries or Doppler specs, ``shape``
+    the report fields that describe the plan rather than one pass."""
+
+    groups: Tuple["CompiledGroup", ...]
+    shape: Dict[str, int]
 
 
-def _identity_load(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    return arrays, meta
+_SHAPE_FIELDS = ("n_entries", "n_unique_matrices", "doppler_filters_built", "doppler_entries")
 
 
-def _artifact_from_compiled(
-    compiled: "CompiledPlan",
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Split a compiled plan into store payload (arrays + JSON meta).
+def _resident(compiled: "CompiledPlan") -> _Resident:
+    groups = tuple(replace(group, entries=(), doppler=None) for group in compiled.groups)
+    report = compiled.report
+    return _Resident(groups, {name: int(getattr(report, name)) for name in _SHAPE_FIELDS})
+
+
+def _dump_plan(resident: _Resident) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """Split a resident plan into store payload (arrays + JSON meta).
 
     Decompositions and filter arrays shared between groups are stored once
-    and referenced by index, mirroring the sharing a fresh compile creates.
+    and referenced by index, mirroring the sharing a fresh compile creates;
+    each decomposition is stored with the decomposition cache's own codec
+    under a ``decomp_<i>_`` prefix.
     """
     arrays: Dict[str, np.ndarray] = {}
     decomp_index: Dict[int, int] = {}
     decomp_meta = []
     filter_index: Dict[int, int] = {}
     groups_meta = []
-    for g, group in enumerate(compiled.groups):
-        decomp_map = []
+    for g, group in enumerate(resident.groups):
         for decomposition in group.decompositions:
-            index = decomp_index.get(id(decomposition))
-            if index is None:
-                index = len(decomp_meta)
-                decomp_index[id(decomposition)] = index
-                arrays[f"decomp_{index}_coloring"] = decomposition.coloring_matrix
-                arrays[f"decomp_{index}_effective"] = (
-                    decomposition.effective_covariance
-                )
-                arrays[f"decomp_{index}_requested"] = (
-                    decomposition.requested_covariance
-                )
-                decomp_meta.append(
-                    {
-                        "method": decomposition.method,
-                        "was_repaired": bool(decomposition.was_repaired),
-                        "negative_eigenvalue_count": int(
-                            decomposition.negative_eigenvalue_count
-                        ),
-                        "min_eigenvalue": float(decomposition.min_eigenvalue),
-                        "extra": decomposition.extra,
-                    }
-                )
-            decomp_map.append(index)
+            if id(decomposition) not in decomp_index:
+                index = decomp_index[id(decomposition)] = len(decomp_meta)
+                decomp_arrays, meta = _dump_decomposition(decomposition)
+                for name, array in decomp_arrays.items():
+                    arrays[f"decomp_{index}_{name}"] = array
+                decomp_meta.append(meta)
         arrays[f"group_{g}_indices"] = np.asarray(group.indices, dtype=np.int64)
-        arrays[f"group_{g}_decomp_map"] = np.asarray(decomp_map, dtype=np.int64)
+        arrays[f"group_{g}_decomp_map"] = np.asarray(
+            [decomp_index[id(d)] for d in group.decompositions], dtype=np.int64
+        )
         arrays[f"group_{g}_sample_variances"] = np.ascontiguousarray(
             group.sample_variances, dtype=float
         )
-        group_meta: Dict[str, Any] = {"filter": None}
-        if group.is_doppler:
-            findex = filter_index.get(id(group.doppler_filter))
-            if findex is None:
-                findex = len(filter_index)
-                filter_index[id(group.doppler_filter)] = findex
-                arrays[f"filter_{findex}"] = group.doppler_filter
-            group_meta["filter"] = findex
+        findex = None
+        if group.doppler_filter is not None:
+            findex = filter_index.setdefault(id(group.doppler_filter), len(filter_index))
+            arrays[f"filter_{findex}"] = group.doppler_filter
             arrays[f"group_{g}_output_variance"] = np.asarray(
                 [group.doppler_output_variance], dtype=float
             )
-        groups_meta.append(group_meta)
-    report = compiled.report
-    meta = {
-        "n_entries": int(compiled.n_entries),
-        "n_groups": len(compiled.groups),
-        "n_decompositions": len(decomp_meta),
-        "decompositions": decomp_meta,
-        "groups": groups_meta,
-        "report": {
-            "n_unique_matrices": int(report.n_unique_matrices),
-            "doppler_filters_built": int(report.doppler_filters_built),
-            "doppler_entries": int(report.doppler_entries),
-        },
-    }
+        groups_meta.append({"filter": findex, "fading_family": group.fading_family})
+    meta = {"shape": resident.shape, "decompositions": decomp_meta, "groups": groups_meta}
     return arrays, meta
 
 
-def _compiled_from_artifact(
-    arrays: Dict[str, np.ndarray],
-    meta: Dict[str, Any],
-    plan: "SimulationPlan",
-    backend: "LinalgBackend",
-    load_seconds: float,
-) -> Optional["CompiledPlan"]:
-    """Re-bind a stored artifact to the caller's plan object.
+def _load_plan(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> _Resident:
+    """Rebuild a resident plan from digest-verified store payload.
 
-    Entries (and with them seeds, labels, and Doppler specs) come from the
-    *caller's* plan; only the numeric artifacts come from disk.  Returns
-    ``None`` on any structural mismatch — the caller treats that as a miss
-    and recompiles.
+    Coloring stacks are re-stacked from the stored decomposition arrays
+    exactly as a fresh compile stacks them (``np.stack`` copies bytes, so
+    the stack is bit-identical).  A structural defect raises, which the
+    store counts as a corrupt entry.
     """
-    from .compile import CompiledGroup, CompiledPlan, CompileReport
+    from .compile import CompiledGroup
 
-    if int(meta["n_entries"]) != plan.n_entries:
-        return None
-    entries = plan.entries
-    decompositions = []
-    for index, decomp_meta in enumerate(meta["decompositions"]):
-        coloring = arrays[f"decomp_{index}_coloring"]
-        effective = arrays[f"decomp_{index}_effective"]
-        # Frozen like every cache-served decomposition: the arrays are
-        # shared, an in-place mutation must fail loudly.
-        coloring.flags.writeable = False
-        effective.flags.writeable = False
-        decompositions.append(
-            ColoringDecomposition(
-                coloring_matrix=coloring,
-                effective_covariance=effective,
-                requested_covariance=arrays[f"decomp_{index}_requested"],
-                method=str(decomp_meta["method"]),
-                was_repaired=bool(decomp_meta["was_repaired"]),
-                negative_eigenvalue_count=int(
-                    decomp_meta["negative_eigenvalue_count"]
-                ),
-                min_eigenvalue=float(decomp_meta["min_eigenvalue"]),
-                extra=dict(decomp_meta.get("extra") or {}),
-            )
+    decompositions = [
+        _load_decomposition(
+            {name: arrays[f"decomp_{index}_{name}"] for name in _ARRAY_FIELDS}, entry
         )
-    filters: Dict[int, np.ndarray] = {}
+        for index, entry in enumerate(meta["decompositions"])
+    ]
     groups = []
-    covered = 0
     for g, group_meta in enumerate(meta["groups"]):
         indices = tuple(int(i) for i in arrays[f"group_{g}_indices"])
-        group_entries = tuple(entries[i] for i in indices)
-        covered += len(indices)
-        group_decomps = tuple(
-            decompositions[int(j)] for j in arrays[f"group_{g}_decomp_map"]
-        )
-        if len(group_decomps) != len(indices):
-            return None
-        # Re-stacked from the stored arrays exactly as a fresh compile
-        # stacks them — np.stack copies bytes, so the stack is bit-identical.
-        coloring_stack = np.stack([d.coloring_matrix for d in group_decomps])
-        doppler = group_entries[0].doppler
-        if (doppler is None) != (group_meta["filter"] is None):
-            return None
-        fading = group_entries[0].fading
-        fading_family = None if fading is None else fading.family
-        if doppler is None:
-            doppler_filter = None
-            output_variance = None
-        else:
-            findex = int(group_meta["filter"])
-            doppler_filter = filters.get(findex)
-            if doppler_filter is None:
-                doppler_filter = arrays[f"filter_{findex}"]
-                doppler_filter.flags.writeable = False
-                filters[findex] = doppler_filter
-            output_variance = float(arrays[f"group_{g}_output_variance"][0])
+        decomps = tuple(decompositions[int(j)] for j in arrays[f"group_{g}_decomp_map"])
+        if len(decomps) != len(indices):
+            raise ValueError("decomposition map does not cover the group")
+        findex, family = group_meta["filter"], group_meta["fading_family"]
         groups.append(
             CompiledGroup(
                 indices=indices,
-                entries=group_entries,
-                coloring_stack=coloring_stack,
+                entries=(),
+                coloring_stack=np.stack([d.coloring_matrix for d in decomps]),
                 sample_variances=arrays[f"group_{g}_sample_variances"],
-                decompositions=group_decomps,
-                doppler=doppler,
-                doppler_filter=doppler_filter,
-                doppler_output_variance=output_variance,
-                fading_family=fading_family,
+                decompositions=decomps,
+                doppler_filter=None if findex is None else arrays[f"filter_{findex}"],
+                doppler_output_variance=(
+                    None if findex is None else float(arrays[f"group_{g}_output_variance"][0])
+                ),
+                fading_family=None if family is None else (str(family[0]), bool(family[1])),
             )
         )
-    if covered != plan.n_entries:
-        return None
-    stored_report = meta.get("report") or {}
-    report = CompileReport(
-        n_entries=plan.n_entries,
-        n_groups=len(groups),
-        n_unique_matrices=int(stored_report.get("n_unique_matrices", 0)),
-        cache_hits=0,
-        cache_misses=0,
-        compile_seconds=load_seconds,
-        doppler_filters_built=int(stored_report.get("doppler_filters_built", 0)),
-        doppler_entries=int(stored_report.get("doppler_entries", 0)),
-        doppler_filter_cache_hits=0,
-        plan_cache_hits=1,
-    )
-    return CompiledPlan(plan=plan, groups=tuple(groups), report=report, backend=backend)
+    return _Resident(tuple(groups), {name: int(meta["shape"][name]) for name in _SHAPE_FIELDS})
 
 
-class _MemoryEntry:
-    """One resident compiled plan: its groups, canonical report, and size."""
-
-    __slots__ = ("groups", "report", "n_entries", "nbytes")
-
-    def __init__(
-        self,
-        groups: Tuple["CompiledGroup", ...],
-        report: "CompileReport",
-        n_entries: int,
-        nbytes: int,
-    ) -> None:
-        self.groups = groups
-        self.report = report
-        self.n_entries = n_entries
-        self.nbytes = nbytes
-
-
-def _canonical_report(report: "CompileReport") -> "CompileReport":
-    """Strip the pass-specific counters so a hit can re-stamp its own.
-
-    What survives is the plan's structure (entries, groups, unique
-    matrices, Doppler filter counts) — the same fields a disk artifact
-    stores; what a served compile never did (decomposition lookups, filter
-    cache probes) is zeroed, exactly like a disk hit's report.
-    """
-    return dataclasses.replace(
-        report,
-        cache_hits=0,
-        cache_misses=0,
-        compile_seconds=0.0,
-        doppler_filter_cache_hits=0,
-        plan_cache_hits=0,
-        plan_memory_hits=0,
-    )
-
-
-def _resident_bytes(groups: Tuple["CompiledGroup", ...]) -> int:
-    """Bytes the groups' arrays keep resident, deduplicated by identity.
-
-    Shared arrays (a decomposition reused across entries, a filter shared
-    between groups) count once — the same sharing the artifact format
-    deduplicates on disk.
-    """
-    seen = set()
-    total = 0
-
-    def add(array: Optional[np.ndarray]) -> None:
-        nonlocal total
-        if array is None or id(array) in seen:
-            return
-        seen.add(id(array))
-        total += array.nbytes
-
-    for group in groups:
-        add(group.coloring_stack)
-        add(group.sample_variances)
-        add(group.doppler_filter)
-        for decomposition in group.decompositions:
-            add(decomposition.coloring_matrix)
-            add(decomposition.effective_covariance)
-            add(decomposition.requested_covariance)
-    return total
-
-
-def _freeze_groups(groups: Tuple["CompiledGroup", ...]) -> None:
-    """Freeze the arrays a memory entry shares with every future hit.
-
-    Same rule as cache-served decompositions and disk-loaded artifacts:
-    shared arrays are read-only, an in-place mutation must fail loudly
-    instead of silently poisoning later re-binds.
-    """
-    for group in groups:
-        for array in (
-            group.coloring_stack,
-            group.sample_variances,
-            group.doppler_filter,
-        ):
+def _freeze_plan(resident: _Resident) -> _Resident:
+    """Freeze the arrays a resident plan shares with every future hit."""
+    for group in resident.groups:
+        for array in (group.coloring_stack, group.sample_variances, group.doppler_filter):
             if array is not None:
                 array.flags.writeable = False
         for decomposition in group.decompositions:
-            decomposition.coloring_matrix.flags.writeable = False
-            decomposition.effective_covariance.flags.writeable = False
+            _freeze(decomposition)
+    return resident
 
 
-def _rebind_memory_entry(
-    entry: _MemoryEntry,
+def _resident_bytes(resident: _Resident) -> int:
+    """Bytes the plan's arrays keep resident, each shared array counted once."""
+    sizes = {}
+    for group in resident.groups:
+        for array in (group.coloring_stack, group.sample_variances, group.doppler_filter):
+            if array is not None:
+                sizes[id(array)] = array.nbytes
+        for decomposition in group.decompositions:
+            for name in _ARRAY_FIELDS:
+                array = getattr(decomposition, name)
+                sizes[id(array)] = array.nbytes
+    return sum(sizes.values())
+
+
+_CODEC = Codec(dump=_dump_plan, load=_load_plan, freeze=_freeze_plan, weigh=_resident_bytes)
+
+
+def _rebind(
+    resident: _Resident,
     plan: "SimulationPlan",
     backend: "LinalgBackend",
-    elapsed: float,
+    seconds: float,
+    from_memory: bool,
 ) -> Optional["CompiledPlan"]:
-    """Re-bind a resident compiled plan to the caller's plan object.
+    """Re-bind a resident plan to the caller's plan object.
 
-    The memory-tier analogue of :func:`_compiled_from_artifact`, minus all
-    array work: groups are copied structurally (a ``dataclasses.replace``
-    per group swaps in the caller's entries and Doppler specs) while every
-    numeric array — coloring stacks, decompositions, variances, filters —
-    is shared by reference.  Returns ``None`` on structural mismatch (key
-    collision), which the caller treats as a miss and evicts.
+    Entries (and with them seeds, labels, Doppler specs and fading
+    parameters) come from the *caller's* plan; every numeric array is
+    shared by reference — zero copies.  Returns ``None`` on a structural
+    mismatch (a key collision), which the cache treats as a rejected hit.
     """
-    from .compile import CompiledPlan
+    from .compile import CompiledPlan, CompileReport
 
-    if entry.n_entries != plan.n_entries:
+    if resident.shape["n_entries"] != plan.n_entries:
         return None
     entries = plan.entries
     covered = 0
     groups = []
-    for group in entry.groups:
+    for group in resident.groups:
         group_entries = tuple(entries[i] for i in group.indices)
-        covered += len(group.indices)
-        doppler = group_entries[0].doppler
-        if (doppler is None) != (group.doppler is None):
+        covered += len(group_entries)
+        doppler, fading = group_entries[0].doppler, group_entries[0].fading
+        family = None if fading is None else fading.family
+        if (doppler is None) != (group.doppler_filter is None) or family != group.fading_family:
             return None
-        fading = group_entries[0].fading
-        fading_family = None if fading is None else fading.family
-        if fading_family != group.fading_family:
-            return None
-        groups.append(
-            dataclasses.replace(group, entries=group_entries, doppler=doppler)
-        )
+        groups.append(replace(group, entries=group_entries, doppler=doppler))
     if covered != plan.n_entries:
         return None
-    report = dataclasses.replace(
-        entry.report,
-        compile_seconds=elapsed,
+    report = CompileReport(
+        **resident.shape,
+        n_groups=len(groups),
+        cache_hits=0,
+        cache_misses=0,
+        compile_seconds=seconds,
         plan_cache_hits=1,
-        plan_memory_hits=1,
+        plan_memory_hits=int(from_memory),
     )
-    return CompiledPlan(
-        plan=plan, groups=tuple(groups), report=report, backend=backend
-    )
+    return CompiledPlan(plan=plan, groups=tuple(groups), report=report, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -504,15 +307,11 @@ class PlanCacheStats(StoreStats):
         return self.memory_hits + self.hits + self.misses
 
 
-class CompiledPlanCache:
+class CompiledPlanCache(CacheFrontEnd):
     """Two-tier cache of whole compiled plans (the executor-level cache).
 
-    A byte-bounded in-memory LRU above the ``plans/`` disk namespace.
-    Lookups probe memory first: a memory hit re-binds the resident groups
-    to the caller's plan with zero disk I/O and zero array copies (only
-    the per-call seed/label re-bind); a memory miss falls through to the
-    disk tier, and a disk hit is promoted into memory so the load is paid
-    once per process.  A fully detached cache (no ``cache_dir``, no
+    A byte-bounded in-memory LRU above the ``plans/`` disk namespace (see
+    the module docs).  A fully detached cache (no ``cache_dir``, no
     explicit ``memory_max_bytes``) is a no-op: lookups miss silently —
     before hashing the plan — and stores are dropped.
 
@@ -542,76 +341,45 @@ class CompiledPlanCache:
         disk_max_bytes: int = DEFAULT_DISK_MAX_BYTES,
         memory_max_bytes: Optional[int] = None,
     ) -> None:
-        self._store = ArtifactStore(
+        self._memory_config = None if memory_max_bytes is None else int(memory_max_bytes)
+        self._tiers = TieredCache(
             "plans",
-            dump=_identity_dump,
-            load=_identity_load,
+            _CODEC,
             cache_dir=cache_dir,
             format_version=_DISK_FORMAT_VERSION,
-            max_bytes=disk_max_bytes,
+            disk_max_bytes=disk_max_bytes,
+            max_weight=self._memory_bound(cache_dir is not None),
         )
-        self._memory_config = (
-            None if memory_max_bytes is None else int(memory_max_bytes)
-        )
-        self._memory: "OrderedDict[str, _MemoryEntry]" = OrderedDict()
-        self._memory_bytes = 0
-        self._memory_lock = threading.Lock()
-        self._memory_hits = 0
-        self._memory_misses = 0
-        self._memory_evictions = 0
-        # Singleflight table of in-flight compilations: key -> the event the
-        # leader sets once its result landed in the cache (or its compile
-        # failed).  Guarded by its own lock so waiters registering never
-        # contend with memory-tier traffic.
-        self._inflight: Dict[str, threading.Event] = {}
-        self._inflight_lock = threading.Lock()
-        self._inflight_leads = 0
-        self._inflight_coalesced = 0
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of the disk tier (``None`` when detached)."""
-        return self._store.cache_dir
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        """The underlying artifact store of the ``plans/`` namespace."""
-        return self._store
+    def _memory_bound(self, attached: bool) -> int:
+        if self._memory_config is not None:
+            return self._memory_config
+        return DEFAULT_MEMORY_MAX_BYTES if attached else 0
 
     @property
     def memory_max_bytes(self) -> int:
         """Resolved byte bound of the memory tier (``0`` = disabled)."""
-        if self._memory_config is not None:
-            return self._memory_config
-        return (
-            DEFAULT_MEMORY_MAX_BYTES if self._store.cache_dir is not None else 0
-        )
+        return self._memory_bound(self._tiers.store.attached)
 
     @property
     def enabled(self) -> bool:
         """Whether any tier is active (a detached cache is a strict no-op)."""
-        return self.memory_max_bytes > 0 or self._store.cache_dir is not None
+        return self._tiers.enabled
 
     @property
     def stats(self) -> PlanCacheStats:
         """Snapshot of the per-tier hit/miss/corruption/eviction counters."""
-        with self._memory_lock:
-            memory = {
-                "memory_hits": self._memory_hits,
-                "memory_misses": self._memory_misses,
-                "memory_evictions": self._memory_evictions,
-                "memory_entries": len(self._memory),
-                "memory_bytes": self._memory_bytes,
-            }
-        with self._inflight_lock:
-            inflight = {
-                "inflight_leads": self._inflight_leads,
-                "inflight_coalesced": self._inflight_coalesced,
-            }
-        return PlanCacheStats(**asdict(self._store.stats), **memory, **inflight)
+        tiers = self._tiers.stats
+        return PlanCacheStats(
+            **asdict(tiers.disk),
+            memory_hits=tiers.memory_hits,
+            memory_misses=tiers.memory_misses,
+            memory_evictions=tiers.evictions,
+            memory_entries=tiers.entries,
+            memory_bytes=tiers.weight,
+            inflight_leads=tiers.inflight_leads,
+            inflight_coalesced=tiers.inflight_coalesced,
+        )
 
     def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
         """Attach (or detach, with ``None``) the persistent disk tier.
@@ -620,15 +388,12 @@ class CompiledPlanCache:
         attaching enables it (unless explicitly bounded), detaching a
         defaulted cache disables it and drops every resident entry.
         Resident entries are content-addressed, so entries kept across a
-        directory change remain valid — only the byte bound is re-applied.
+        directory change remain valid — only the byte bound is re-applied —
+        and they spill to the new directory on their next hit.
         """
-        self._store.set_cache_dir(cache_dir)
-        with self._memory_lock:
-            self._trim_locked()
+        super().set_cache_dir(cache_dir)
+        self._tiers.resize(self._memory_bound(cache_dir is not None))
 
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
     def lookup(
         self,
         plan: "SimulationPlan",
@@ -638,64 +403,24 @@ class CompiledPlanCache:
     ) -> Optional["CompiledPlan"]:
         """Serve the compiled form of ``plan``, or ``None`` (a miss).
 
-        A fully detached cache returns ``None`` immediately — before
-        hashing the plan — so plain in-memory compiles pay nothing for
-        this cache.  Tiers are probed memory-first; either kind of hit is
-        re-bound to the caller's ``plan`` (seeds and labels come from it),
-        records ``plan_cache_hits=1`` (plus ``plan_memory_hits=1`` for the
-        memory tier) with ``compile_seconds`` measuring the serve, and is
-        bit-identical to a fresh compilation.  A disk hit is promoted into
-        the memory tier.
+        A detached cache returns ``None`` before hashing the plan.  A hit
+        of either tier is re-bound to the caller's ``plan``, records
+        ``plan_cache_hits=1`` (plus ``plan_memory_hits=1`` for the memory
+        tier) with ``compile_seconds`` measuring the serve, and is
+        bit-identical to a fresh compilation.
         """
-        memory_bound = self.memory_max_bytes
-        disk_attached = self._store.cache_dir is not None
-        if memory_bound <= 0 and not disk_attached:
+        if not self._tiers.enabled:
             return None
         start = time.perf_counter()
         key = compiled_plan_cache_key(
             plan, defaults=defaults, cache_token=backend.cache_token
         )
-        if memory_bound > 0:
-            with self._memory_lock:
-                entry = self._memory.get(key)
-                if entry is None:
-                    self._memory_misses += 1
-                else:
-                    self._memory.move_to_end(key)
-                    self._memory_hits += 1
-            if entry is not None:
-                rebound = _rebind_memory_entry(
-                    entry, plan, backend, time.perf_counter() - start
-                )
-                if rebound is not None:
-                    return rebound
-                # A resident entry that does not fit the plan (key
-                # collision) is dropped; the disk probe below re-checks the
-                # artifact and quarantines it through the store's protocol.
-                self._memory_drop(key)
-        if not disk_attached:
-            return None
-        artifact = self._store.lookup(key)
-        if artifact is None:
-            return None
-        arrays, meta = artifact
-        try:
-            rebound = _compiled_from_artifact(
-                arrays, meta, plan, backend, time.perf_counter() - start
-            )
-        except Exception:
-            rebound = None
-        if rebound is None:
-            # A digest-verified artifact that still does not fit the plan
-            # (key collision, layout bug) degrades to a recompile — and is
-            # quarantined so the recompiled result can re-spill over it
-            # instead of the stale bytes poisoning the key forever.  Both
-            # tiers evict together (the coherence rule).
-            self.invalidate(key)
-            return None
-        if memory_bound > 0:
-            self._memory_insert(key, rebound)
-        return rebound
+        return self._tiers.lookup(
+            key,
+            lambda resident, from_memory: _rebind(
+                resident, plan, backend, time.perf_counter() - start, from_memory
+            ),
+        )
 
     def put(
         self,
@@ -709,9 +434,7 @@ class CompiledPlanCache:
         keys; the memory tier keeps its first insert), so compiling the
         same plan repeatedly serializes it once.
         """
-        memory_bound = self.memory_max_bytes
-        disk_attached = self._store.cache_dir is not None
-        if memory_bound <= 0 and not disk_attached:
+        if not self._tiers.enabled:
             return False
         backend = compiled.backend
         key = compiled_plan_cache_key(
@@ -719,144 +442,37 @@ class CompiledPlanCache:
             defaults=defaults,
             cache_token="numpy" if backend is None else backend.cache_token,
         )
-        if memory_bound > 0:
-            self._memory_insert(key, compiled)
-        if not disk_attached:
-            return False
-        try:
-            artifact = _artifact_from_compiled(compiled)
-        except Exception:
-            return False
-        return self._store.put(key, artifact)
+        _, written = self._tiers.put(key, _resident(compiled))
+        return written
 
     def invalidate(self, key: str) -> None:
-        """Evict ``key`` from *both* tiers after a rejected hit.
+        """Evict ``key`` from *both* tiers after a rejected hit (the store
+        re-counts that hit as a corruption miss)."""
+        self._tiers.invalidate(key)
 
-        The memory entry is dropped and the disk artifact quarantined in
-        one call, so the tiers can never disagree about a poisoned key —
-        the coherence rule of the memory tier.  Like
-        :meth:`repro.engine.store.ArtifactStore.invalidate`, this is meant
-        for entries whose content a lookup just rejected (the store
-        re-counts that hit as a corruption miss).
-        """
-        self._memory_drop(key)
-        self._store.invalidate(key)
-
-    # ------------------------------------------------------------------ #
-    # In-flight compile coalescing (singleflight)
-    # ------------------------------------------------------------------ #
     def join_inflight(self, key: str) -> Optional[threading.Event]:
         """Register interest in the in-flight compilation of ``key``.
 
-        Returns ``None`` when the caller becomes the **leader** of the key
-        — it must compile, :meth:`put` the result, and then call
-        :meth:`finish_inflight` (from a ``finally``) so waiters re-probe a
-        warm cache.  Returns the leader's event otherwise: the caller
-        waits on it, then re-probes :meth:`lookup` instead of duplicating
-        the compile.  A detached cache never registers (with no tier to
-        share results through, waiters would have nothing to re-probe), so
-        the documented no-op contract is preserved.
+        ``None`` makes the caller the **leader**: it compiles, stores the
+        result with :meth:`put` and calls :meth:`finish_inflight` from a
+        ``finally``.  Otherwise the caller waits on the returned event,
+        then re-probes :meth:`lookup`.  A detached cache never registers.
         """
-        if not self.enabled:
-            return None
-        with self._inflight_lock:
-            event = self._inflight.get(key)
-            if event is None:
-                self._inflight[key] = threading.Event()
-                self._inflight_leads += 1
-                return None
-            self._inflight_coalesced += 1
-            return event
+        return self._tiers.join_inflight(key)
 
     def finish_inflight(self, key: str) -> None:
-        """Release the in-flight entry of ``key`` and wake every waiter.
-
-        Safe for keys that never registered (the detached-cache case) —
-        leaders call this from a ``finally`` so a failed compile can never
-        strand its waiters; they wake, miss, and elect a new leader.
-        """
-        with self._inflight_lock:
-            event = self._inflight.pop(key, None)
-        if event is not None:
-            event.set()
-
-    # ------------------------------------------------------------------ #
-    # Memory-tier internals
-    # ------------------------------------------------------------------ #
-    def _memory_drop(self, key: str) -> None:
-        with self._memory_lock:
-            entry = self._memory.pop(key, None)
-            if entry is not None:
-                self._memory_bytes -= entry.nbytes
-
-    def _memory_insert(self, key: str, compiled: "CompiledPlan") -> None:
-        bound = self.memory_max_bytes
-        if bound <= 0:
-            return
-        nbytes = _resident_bytes(compiled.groups)
-        if nbytes > bound:
-            # Larger than the whole tier: caching it would evict everything
-            # for a single entry that may never be re-requested.
-            return
-        entry = _MemoryEntry(
-            groups=compiled.groups,
-            report=_canonical_report(compiled.report),
-            n_entries=compiled.n_entries,
-            nbytes=nbytes,
-        )
-        _freeze_groups(compiled.groups)
-        with self._memory_lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                return
-            self._memory[key] = entry
-            self._memory_bytes += nbytes
-            self._trim_locked(bound)
-
-    def _trim_locked(self, bound: Optional[int] = None) -> None:
-        """Evict least-recently-used entries down to the byte bound."""
-        if bound is None:
-            bound = self.memory_max_bytes
-        while self._memory and self._memory_bytes > bound:
-            _, evicted = self._memory.popitem(last=False)
-            self._memory_bytes -= evicted.nbytes
-            self._memory_evictions += 1
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def disk_usage(self) -> Tuple[int, int]:
-        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
-        return self._store.usage()
+        """Release the in-flight entry of ``key`` and wake every waiter
+        (safe for keys that never registered); after a failed compile they
+        wake, miss, and elect a new leader."""
+        self._tiers.finish_inflight(key)
 
     def memory_usage(self) -> Tuple[int, int]:
         """``(n_entries, resident_bytes)`` of the memory tier."""
-        with self._memory_lock:
-            return len(self._memory), self._memory_bytes
-
-    def clear_disk(self) -> int:
-        """Remove every artifact of the disk tier (``.tmp`` and quarantine
-        leftovers included); returns the number of entries removed."""
-        return self._store.clear()
+        return self._tiers.memory_usage()
 
     def clear_memory(self) -> int:
         """Drop every memory-tier entry; returns the number removed."""
-        with self._memory_lock:
-            removed = len(self._memory)
-            self._memory.clear()
-            self._memory_bytes = 0
-            return removed
-
-    def reset_stats(self) -> None:
-        """Zero the per-tier hit/miss counters (entries are kept)."""
-        self._store.reset_stats()
-        with self._memory_lock:
-            self._memory_hits = 0
-            self._memory_misses = 0
-            self._memory_evictions = 0
-        with self._inflight_lock:
-            self._inflight_leads = 0
-            self._inflight_coalesced = 0
+        return self._tiers.clear_memory()
 
 
 #: Process-wide compiled-plan cache (created lazily so ``REPRO_CACHE_DIR``

@@ -6,10 +6,9 @@ carried its own copy of the protocol: atomic write-then-rename, SHA-256
 digest verification, quarantine of corrupt entries, sweeping of stale
 temporary files, and LRU byte-bounded eviction.  :class:`ArtifactStore` is
 that protocol extracted once, parameterized by payload *dump/load*
-callbacks, so :class:`repro.engine.cache.DecompositionCache`,
-:class:`repro.engine.filters.DopplerFilterCache`, and the compiled-plan
-cache (:mod:`repro.engine.plancache`) are thin clients and a format or
-fsync change lands in exactly one place.
+callbacks.  The caches reach it through the one memory tier of
+:class:`repro.engine.tiered.TieredCache`, so a format or fsync change
+lands in exactly one place.
 
 Layout and protocol
 -------------------

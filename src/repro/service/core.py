@@ -22,10 +22,10 @@ pool threads); four mechanisms shape the traffic:
   :meth:`repro.api.Simulator.submit` future (which releases a not-yet-started
   pool slot).
 
-Below the request-level coalescing here, the compiled-plan cache adds
-thread-level compile singleflight (see
-:meth:`repro.engine.plancache.CompiledPlanCache.join_inflight`) for requests
-that share a plan structure but differ in seeds.
+Below the request-level coalescing here, :func:`repro.engine.compile_plan`
+adds thread-level compile singleflight — the singleflight table of the
+compiled-plan cache's :class:`repro.engine.tiered.TieredCache` — for
+requests that share a plan structure but differ in seeds.
 """
 
 # reprolint: hot-module — the serving core is pure dispatch bookkeeping; it

@@ -207,20 +207,32 @@ def _drain(
     progress: Optional[ProgressFn],
     timeout: float,
 ) -> int:
-    """Stream a worker's stdout to ``progress`` and return its exit code."""
-    deadline = time.monotonic() + timeout
-    assert process.stdout is not None
-    for line in process.stdout:
-        if progress is not None:
-            progress(index, line.rstrip("\n"))
-        if time.monotonic() > deadline:
-            break
-    try:
-        return process.wait(timeout=max(0.0, deadline - time.monotonic()))
-    except subprocess.TimeoutExpired:
+    """Stream a worker's stdout to ``progress`` and return its exit code.
+
+    A watchdog kills the worker at the deadline — also one that prints
+    nothing — and a killed worker returns ``-1``.  The pipe is closed on
+    every path.
+    """
+    expired = threading.Event()
+
+    def _expire() -> None:
+        expired.set()
         process.kill()
-        process.wait()
-        return -1
+
+    watchdog = threading.Timer(timeout, _expire)
+    watchdog.daemon = True
+    watchdog.start()
+    try:
+        assert process.stdout is not None
+        for line in process.stdout:
+            if progress is not None:
+                progress(index, line.rstrip("\n"))
+        code = process.wait()
+    finally:
+        watchdog.cancel()
+        if process.stdout is not None:
+            process.stdout.close()
+    return -1 if expired.is_set() else code
 
 
 def run_sharded(

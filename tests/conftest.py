@@ -118,7 +118,7 @@ def flaky_plan_cache(tmp_path):
     def _make(fail_at: int = 1, operation: str = "lookup") -> CompiledPlanCache:
         cache = CompiledPlanCache(cache_dir=tmp_path / "flaky-cache")
         real_store = cache.artifact_store
-        cache._store = FlakyStore(
+        cache._tiers.store = FlakyStore(
             real_store.namespace,
             dump=real_store._dump,
             load=real_store._load,

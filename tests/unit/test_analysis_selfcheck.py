@@ -107,6 +107,26 @@ def test_execute_pool_and_blas_refcount_are_lock_guarded():
             assert any(f"'{name}'" in finding.message for finding in findings), name
 
 
+def test_tiered_cache_state_is_lock_guarded():
+    """The one cache tier writes its memory table, weight total, counters
+    and singleflight table under its lock and suppresses nothing, so an
+    unguarded read of any of them is a finding."""
+    from repro.analysis.lock_discipline import LockDisciplineRule
+
+    path = PACKAGE_DIR / "engine" / "tiered.py"
+    source = path.read_text(encoding="utf8")
+    assert "reprolint" not in source
+    assert not _findings(LockDisciplineRule(), path, source)
+    header = "class TieredCache:\n"
+    assert header in source
+    for name in ("_memory", "_weight", "_memory_hits", "_misses", "_inflight"):
+        probe = source.replace(
+            header, f"{header}    def _probe(self):\n        return self.{name}\n\n"
+        )
+        findings = _findings(LockDisciplineRule(), path, probe)
+        assert any(f"'self.{name}'" in finding.message for finding in findings), name
+
+
 def test_chunk_kernels_are_hot_paths():
     """The pool tasks allocate nothing: their views come from the state."""
     from repro.analysis.hot_path import HotPathAllocationRule

@@ -268,9 +268,7 @@ class TestCorruption:
 
         plan = _mixed_plan(base_matrix)
         _compile(plan, tmp_path)
-        monkeypatch.setattr(
-            plancache_module, "_compiled_from_artifact", lambda *a, **k: None
-        )
+        monkeypatch.setattr(plancache_module, "_rebind", lambda *a, **k: None)
         broken_cache = CompiledPlanCache(tmp_path)
         compiled = compile_plan(
             plan, cache=DecompositionCache(), plan_cache=broken_cache
@@ -418,9 +416,14 @@ class TestMemoryTier:
         plan = _mixed_plan(base_matrix)
         cache = CompiledPlanCache(tmp_path)
         _compile_with(plan, cache)
-        monkeypatch.setattr(
-            plancache_module, "_rebind_memory_entry", lambda *a, **k: None
-        )
+        real_rebind = plancache_module._rebind
+
+        def reject_memory_hits(resident, plan, backend, seconds, from_memory):
+            if from_memory:
+                return None
+            return real_rebind(resident, plan, backend, seconds, from_memory)
+
+        monkeypatch.setattr(plancache_module, "_rebind", reject_memory_hits)
         warm = _compile_with(plan, cache)
         assert warm.report.plan_cache_hits == 1
         assert warm.report.plan_memory_hits == 0
@@ -639,7 +642,7 @@ class TestInflightSingleflight:
                 backend=backend,
             )
         # The in-flight table is clean: no stuck event for the key.
-        assert cache._inflight == {}
+        assert cache._tiers._inflight == {}
         # The next compile of the same plan leads afresh and succeeds.
         compiled = compile_plan(
             plan,

@@ -395,3 +395,42 @@ class TestShardCLI:
         ):
             with pytest.raises(SystemExit):
                 main(argv + ["--cache-dir", str(tmp_path)])
+
+
+class TestDrain:
+    """The runner's worker drain: deadline, exit code, pipe hygiene."""
+
+    @staticmethod
+    def _child(code: str):
+        import subprocess
+        import sys
+
+        return subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+
+    def test_normal_drain_streams_lines_and_closes_the_pipe(self):
+        from repro.shard.runner import _drain
+
+        process = self._child("print('one'); print('two')")
+        lines = []
+        code = _drain(process, 3, lambda index, line: lines.append((index, line)), 30.0)
+        assert code == 0
+        assert lines == [(3, "one"), (3, "two")]
+        assert process.stdout.closed
+
+    def test_silent_worker_is_killed_at_the_deadline(self):
+        import time
+
+        from repro.shard.runner import _drain
+
+        process = self._child("import time; time.sleep(30)")
+        started = time.monotonic()
+        code = _drain(process, 0, None, 0.5)
+        assert code == -1
+        assert time.monotonic() - started < 5.0
+        assert process.returncode is not None  # reaped, not left running
+        assert process.stdout.closed
