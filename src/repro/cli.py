@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--work-dir",
         type=Path,
         default=None,
-        help="directory for slice payloads and worker outputs (default: a "
+        help="directory for worker outputs (default: a "
         "fresh temporary directory; reuse one to enable --retry-failed)",
     )
     shard_parser.add_argument(
@@ -452,16 +452,9 @@ def _run_cache_command(action: str, cache_dir: Optional[Path]) -> int:
         ("compiled plans", plans.disk_usage()),
     ):
         print(f"  {label}: {entries} entries, {n_bytes / 1024:.1f} KiB")
-    # The plan memory tier is per-process (it fronts the disk tier inside a
-    # live engine); this handle reports its configuration and the counters
-    # accumulated in this process.
-    stats = plans.stats
-    print(
-        f"  plan memory tier: bound {plans.memory_max_bytes / (1024 * 1024):.0f} MiB, "
-        f"{stats.memory_entries} resident entries "
-        f"({stats.memory_bytes / 1024:.1f} KiB), "
-        f"{stats.memory_hits} hits / {stats.memory_misses} misses this process"
-    )
+    # The plan memory tier lives inside each engine process, so a cache_dir
+    # has no memory-tier contents to report: only the configured bound.
+    print(f"  plan memory tier: bound {plans.memory_max_bytes / (1024 * 1024):.0f} MiB per process")
     return 0
 
 

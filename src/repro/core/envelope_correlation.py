@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from ..exceptions import SpecificationError
 from ..linalg import assert_hermitian
@@ -80,6 +79,8 @@ def envelope_correlation_from_gaussian(gaussian_correlation: ArrayOrFloat) -> np
     """
     magnitude = np.abs(np.asarray(gaussian_correlation))
     magnitude = _validate_magnitude(magnitude, "|gaussian correlation|", upper_inclusive=True)
+    from scipy.special import hyp2f1
+
     cross_moment_factor = hyp2f1(-0.5, -0.5, 1.0, magnitude**2)
     # E{r1 r2} - E{r1}E{r2} = (pi/4) sigma1 sigma2 (2F1 - 1); divide by the
     # envelope standard deviations sqrt(1 - pi/4) sigma.

@@ -250,6 +250,9 @@ class ArtifactStore:
         # Reset whenever the tier is (re)attached, so a new directory gets
         # fresh attempts.
         self._no_spill: set = set()
+        # Keys whose disk hit this store counted and :meth:`invalidate` has
+        # not yet re-counted as a corruption miss.
+        self._served: set = set()
         # Running byte total of the tier (None = unknown, recalibrated by
         # the next eviction pass), so spills do not re-scan the directory.
         self._total: Optional[int] = None
@@ -542,6 +545,7 @@ class ArtifactStore:
                 # known to exist in the directory it was loaded from.
                 self._no_spill.add(key)
             self._hits += 1
+            self._served.add(key)
         return payload
 
     def invalidate(self, key: str) -> None:
@@ -552,9 +556,11 @@ class ArtifactStore:
         format bump, a key collision).  Without this, such an entry would
         poison its key forever — ``lookup`` counts a hit and marks the key
         no-spill, so the recomputed result would never be re-spilled over
-        the stale file.  Invalidation quarantines the file, clears the
-        no-spill mark so the next :meth:`put` rewrites it, and corrects the
-        already-counted hit into a corruption miss.
+        the stale file.  Invalidation quarantines the file and clears the
+        no-spill mark so the next :meth:`put` rewrites it.  Only a disk hit
+        this store served for ``key`` (and has not corrected yet) is
+        re-counted as a corruption miss; invalidating any other key counts
+        nothing.
         """
         with self._lock:
             disk_dir = self._dir
@@ -567,9 +573,11 @@ class ArtifactStore:
             if self._dir == disk_dir:
                 self._no_spill.discard(key)
                 self._total = None  # force recalibration
-            self._hits -= 1
-            self._misses += 1
-            self._corruptions += 1
+            if key in self._served:
+                self._served.discard(key)
+                self._hits -= 1
+                self._misses += 1
+                self._corruptions += 1
 
     def put(self, key: str, payload: Any) -> bool:
         """Spill one payload (idempotent per key); ``True`` if written.
@@ -732,3 +740,4 @@ class ArtifactStore:
             self._misses = 0
             self._corruptions = 0
             self._evictions = 0
+            self._served.clear()

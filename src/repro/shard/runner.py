@@ -1,17 +1,24 @@
 """The subprocess shard runner: K workers, one shared artifact cache.
 
-:func:`run_sharded` partitions a plan (:func:`~repro.shard.partition_plan`),
-writes each slice's wire payload into a *work directory*, and executes the
-slices as real subprocesses (``python -m repro.shard.worker``) that all
-attach the same ``cache_dir`` — the subprocess form of ROADMAP item 2's
-multi-host story, where the transport is the filesystem.
+:func:`run_sharded` partitions a plan (:func:`~repro.shard.partition_plan`)
+and executes the slices as real subprocesses (``python -m
+repro.shard.worker``) that all attach the same ``cache_dir`` — the
+subprocess form of ROADMAP item 2's multi-host story, where the transport
+for artifacts and outputs is the filesystem.  Each slice's wire payload
+travels over the worker's stdin; outputs are published into a *work
+directory*.
 
-Scheduling: by default the first pending slice runs to completion *alone*
-(``warm_first=True``) before the rest launch concurrently.  The pathfinder
-worker pays the decompositions, Doppler filters, and its plan artifact
-cold; every later worker warm-hits the shared tiers for anything the first
-slice covered, so the sweep compiles each unique artifact once instead of
-once per worker racing at the same instant.
+Scheduling: every pending worker starts at once, finishes its imports,
+and waits on stdin.  By default the first pending slice is *released*
+(payload written, pipe closed) and runs to completion *alone*
+(``warm_first=True``) before the rest are released together.  The
+pathfinder worker pays the decompositions, Doppler filters, and its plan
+artifact cold; every later worker warm-hits the shared tiers for anything
+the first slice covered, so the sweep compiles each unique artifact once
+instead of once per worker racing at the same instant — while the later
+workers' interpreter start-up overlaps the pathfinder instead of following
+it.  If the runner itself raises (a ``progress`` callback, say), every
+worker it started is killed and reaped before the error propagates.
 
 Crash tolerance: a worker that dies (non-zero exit, SIGKILL, missing or
 unparseable output) marks its slice *failed by index*; the survivors are
@@ -74,7 +81,7 @@ class ShardRunResult:
     wall_seconds:
         Caller-observed wall clock of the whole run.
     work_dir:
-        Directory holding slice payloads and worker outputs; pass it back
+        Directory holding the worker outputs; pass it back
         with ``retry_failed=True`` to resume a partially failed run.
     """
 
@@ -173,27 +180,21 @@ def _load_output(out_prefix: Path, plan_slice: PlanSlice) -> Optional[
 
 
 def _spawn(
-    slice_path: Path,
     out_prefix: Path,
     *,
     cache_dir: Optional[Union[str, Path]],
     backend: Optional[str],
     env: Dict[str, str],
 ) -> subprocess.Popen:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.shard.worker",
-        str(slice_path),
-        "--out",
-        str(out_prefix),
-    ]
+    """Start one worker; it imports, then waits on stdin for its payload."""
+    argv = [sys.executable, "-m", "repro.shard.worker", "--out", str(out_prefix)]
     if cache_dir is not None:
         argv += ["--cache-dir", str(cache_dir)]
     if backend is not None:
         argv += ["--backend", str(backend)]
     return subprocess.Popen(
         argv,
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -206,12 +207,16 @@ def _drain(
     index: int,
     progress: Optional[ProgressFn],
     timeout: float,
+    payload: Optional[str] = None,
 ) -> int:
-    """Stream a worker's stdout to ``progress`` and return its exit code.
+    """Release a worker, stream its stdout to ``progress``, return its exit code.
 
-    A watchdog kills the worker at the deadline — also one that prints
-    nothing — and a killed worker returns ``-1``.  The pipe is closed on
-    every path.
+    ``payload`` (when given) is written to the worker's stdin, which is then
+    closed — the release.  A worker that already died cannot be released:
+    the write's ``BrokenPipeError`` is swallowed and its exit code decides.
+    A watchdog started at the release kills the worker at the deadline —
+    also one that prints nothing — and a killed worker returns ``-1``.  The
+    pipes are closed on every path.
     """
     expired = threading.Event()
 
@@ -223,6 +228,13 @@ def _drain(
     watchdog.daemon = True
     watchdog.start()
     try:
+        if payload is not None:
+            assert process.stdin is not None
+            try:
+                with process.stdin as stdin:
+                    stdin.write(payload)
+            except BrokenPipeError:
+                pass
         assert process.stdout is not None
         for line in process.stdout:
             if progress is not None:
@@ -233,6 +245,22 @@ def _drain(
         if process.stdout is not None:
             process.stdout.close()
     return -1 if expired.is_set() else code
+
+
+def _kill(processes: List[subprocess.Popen]) -> None:
+    for process in processes:
+        if process.poll() is None:
+            process.kill()
+
+
+def _stop(processes: List[subprocess.Popen]) -> None:
+    """Kill every still-running worker, reap them all, close their pipes."""
+    _kill(processes)
+    for process in processes:
+        process.wait()
+        for pipe in (process.stdin, process.stdout):
+            if pipe is not None:
+                pipe.close()
 
 
 def run_sharded(
@@ -251,13 +279,14 @@ def run_sharded(
 ) -> ShardRunResult:
     """Execute ``plan`` as ``n_shards`` subprocess workers and merge.
 
-    Parameters beyond the obvious: ``work_dir`` holds slice payloads and
-    worker outputs (a fresh temporary directory when ``None``);
-    ``retry_failed`` reloads valid outputs already in ``work_dir`` and
-    only re-runs slices without one; ``warm_first`` runs the first pending
-    slice alone so later workers warm-hit the shared cache tiers;
-    ``extra_env`` adds variables to worker environments (the
-    fault-injection tests inject the worker kill hook through it).
+    Parameters beyond the obvious: ``work_dir`` holds worker outputs (a
+    fresh temporary directory when ``None``); ``retry_failed`` reloads
+    valid outputs already in ``work_dir`` and only re-runs slices without
+    one; ``warm_first`` releases the first pending slice alone so later
+    workers warm-hit the shared cache tiers; ``timeout`` bounds each
+    worker from its release; ``extra_env`` adds variables to worker
+    environments (the fault-injection tests inject the worker kill hook
+    through it).
     """
     if n_samples < 1:
         raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
@@ -272,9 +301,8 @@ def run_sharded(
     metas: List[Optional[Dict[str, Any]]] = [None] * len(slices)
     pending: List[int] = []
     for plan_slice in slices:
-        out_prefix = work / f"shard_{plan_slice.index}"
         if retry_failed:
-            loaded = _load_output(out_prefix, plan_slice)
+            loaded = _load_output(work / f"shard_{plan_slice.index}", plan_slice)
             if loaded is not None:
                 results[plan_slice.index], metas[plan_slice.index] = loaded
                 if progress is not None:
@@ -284,17 +312,15 @@ def run_sharded(
                         f"published output ({plan_slice.n_entries} entries)",
                     )
                 continue
-        slice_path = work / f"slice_{plan_slice.index}.json"
-        slice_path.write_text(
-            json.dumps(slice_to_payload(plan_slice, n_samples), sort_keys=True),
-            encoding="utf8",
-        )
         pending.append(plan_slice.index)
 
     env = _worker_env(extra_env)
+    processes: Dict[int, subprocess.Popen] = {}
+    errors: List[BaseException] = []
 
-    def _collect(index: int, process: subprocess.Popen) -> None:
-        code = _drain(process, index, progress, timeout)
+    def _collect(index: int) -> None:
+        payload = json.dumps(slice_to_payload(slices[index], n_samples), sort_keys=True)
+        code = _drain(processes[index], index, progress, timeout, payload)
         if code != 0 and progress is not None:
             progress(index, f"shard {index}/{len(slices)}: FAILED (exit {code})")
         if code == 0:
@@ -302,43 +328,38 @@ def run_sharded(
             if loaded is not None:
                 results[index], metas[index] = loaded
 
-    def _run_one(index: int) -> None:
-        process = _spawn(
-            work / f"slice_{index}.json",
-            work / f"shard_{index}",
-            cache_dir=cache_dir,
-            backend=backend,
-            env=env,
-        )
-        _collect(index, process)
+    def _collect_in_thread(index: int) -> None:
+        try:
+            _collect(index)
+        except BaseException as exc:  # re-raised by the caller's thread
+            errors.append(exc)
+            _kill(list(processes.values()))
 
-    if pending and warm_first:
-        # The pathfinder shard compiles the shared artifacts cold; running
-        # it alone turns every later worker's compile into warm hits.
-        _run_one(pending[0])
-        pending = pending[1:]
-    if pending:
-        procs = [
-            (
-                index,
-                _spawn(
-                    work / f"slice_{index}.json",
-                    work / f"shard_{index}",
-                    cache_dir=cache_dir,
-                    backend=backend,
-                    env=env,
-                ),
+    try:
+        # Every worker starts now, so the interpreter start-ups overlap; each
+        # then waits on stdin until its release.
+        for index in pending:
+            processes[index] = _spawn(
+                work / f"shard_{index}", cache_dir=cache_dir, backend=backend, env=env
             )
-            for index in pending
-        ]
+        if pending and warm_first:
+            # The pathfinder shard compiles the shared artifacts cold;
+            # releasing the rest only after it exits turns every later
+            # worker's compile into warm hits.
+            _collect(pending[0])
+            pending = pending[1:]
         threads = [
-            threading.Thread(target=_collect, args=(index, process))
-            for index, process in procs
+            threading.Thread(target=_collect_in_thread, args=(index,))
+            for index in pending
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
+        if errors:
+            raise errors[0]
+    finally:
+        _stop(list(processes.values()))
 
     failed = tuple(
         plan_slice.index for plan_slice in slices if results[plan_slice.index] is None

@@ -1,12 +1,14 @@
 """The shard worker: one subprocess, one :class:`PlanSlice`, one engine run.
 
-Launched by the runner as ``python -m repro.shard.worker <slice.json> --out
-PREFIX [--cache-dir DIR] [--backend NAME]``.  The worker decodes its slice
-payload, builds a private :class:`~repro.engine.SimulationEngine` whose
-three cache tiers attach to the caller-supplied shared ``cache_dir`` (the
-same configuration as ``Simulator(cache_dir=...)`` in :mod:`repro.api`), runs
-the sub-plan through the ordinary batched ``run`` path, and publishes two
-files:
+Launched by the runner as ``python -m repro.shard.worker --out PREFIX
+[--cache-dir DIR] [--backend NAME]``.  The worker finishes its imports, then
+blocks reading its slice payload from stdin: the runner starts every worker
+at once and *releases* each by writing its payload and closing the pipe.
+Once released, the worker decodes the payload, builds a private
+:class:`~repro.engine.SimulationEngine` whose three cache tiers attach to the
+caller-supplied shared ``cache_dir`` (the same configuration as
+``Simulator(cache_dir=...)`` in :mod:`repro.api`), runs the sub-plan through
+the ordinary batched ``run`` path, and publishes two files:
 
 * ``PREFIX.npz`` — every block's samples and variances, exact bytes;
 * ``PREFIX.json`` — slice addressing, labels, the :class:`CompileReport`,
@@ -17,7 +19,9 @@ Both files are written to temporaries and published with
 :func:`os.replace`; the ``.json`` goes last and acts as the commit marker,
 so a worker killed mid-write never leaves output the runner could mistake
 for a completed slice.  Progress lines go to stdout (one on start, one on
-completion) for the runner to stream.
+completion) for the runner to stream.  A worker whose stdin ends before any
+payload arrives (never released) exits with status 2 without touching
+``cache_dir`` or publishing anything.
 
 Crash-tolerance hook
 --------------------
@@ -147,9 +151,8 @@ def _write_outputs(out_prefix: Path, result: BatchResult, meta: Dict[str, Any]) 
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Worker entry point: decode, run, publish.  Returns an exit code."""
+    """Worker entry point: wait, decode, run, publish.  Returns an exit code."""
     parser = argparse.ArgumentParser(prog="repro-shard-worker")
-    parser.add_argument("slice_path", type=Path, help="slice payload JSON file")
     parser.add_argument(
         "--out", type=Path, required=True, help="output path prefix (.npz/.json)"
     )
@@ -157,8 +160,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--backend", default=None)
     args = parser.parse_args(argv)
 
-    payload = json.loads(args.slice_path.read_text(encoding="utf8"))
-    plan_slice, n_samples = slice_from_payload(payload)
+    # Blocks until the runner releases this worker (payload, then EOF).
+    text = sys.stdin.read()
+    if not text.strip():
+        print("shard worker: stdin closed before a slice payload arrived", flush=True)
+        return 2
+    plan_slice, n_samples = slice_from_payload(json.loads(text))
     print(
         f"shard {plan_slice.index}/{plan_slice.n_shards}: start "
         f"entries={plan_slice.n_entries} n_samples={n_samples}",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import DimensionError
 
@@ -79,6 +78,8 @@ def rayleigh_ks_test(
     if gaussian_variance <= 0:
         raise ValueError(f"gaussian_variance must be positive, got {gaussian_variance}")
     scale = np.sqrt(gaussian_variance / 2.0)
+    from scipy import stats
+
     statistic, p_value = stats.kstest(arr, "rayleigh", args=(0.0, scale))
     return KSTestResult(
         statistic=float(statistic),
@@ -106,6 +107,8 @@ def phase_uniformity_test(
     if arr.ndim != 1 or arr.shape[0] < 8:
         raise DimensionError("phase_uniformity_test expects a 1-D sequence of length >= 8")
     phases = np.angle(arr)  # in (-pi, pi]
+    from scipy import stats
+
     statistic, p_value = stats.kstest(phases, "uniform", args=(-np.pi, 2.0 * np.pi))
     return KSTestResult(
         statistic=float(statistic),

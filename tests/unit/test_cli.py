@@ -297,6 +297,15 @@ class TestCacheSubcommand:
         assert "doppler filters: 1 entries" in out
         assert "compiled plans: 1 entries" in out
 
+    def test_stats_reports_only_the_memory_tier_bound(self, tmp_path, capsys):
+        # The memory tier lives inside engine processes: a cache_dir has no
+        # resident entries or hit counters to report, so none are printed.
+        self._populate_all_tiers(tmp_path)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        memory = [line for line in lines if "plan memory tier" in line]
+        assert memory == ["  plan memory tier: bound 256 MiB per process"]
+
     def test_clear_removes_everything(self, tmp_path, capsys):
         self._populate_all_tiers(tmp_path)
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0

@@ -408,6 +408,20 @@ class TestMemoryTier:
         assert cache.memory_usage()[0] == 0
         assert list((tmp_path / "plans").glob("*.quarantine"))
 
+    def test_invalidate_without_a_disk_hit_counts_nothing(self, base_matrix, tmp_path):
+        # Only a disk hit this store served is re-counted as a corruption
+        # miss; a freshly compiled (never served) key must not drive the
+        # hit counter negative.
+        plan = SimulationPlan()
+        plan.add(base_matrix, seed=1)
+        cache = CompiledPlanCache(tmp_path)
+        _compile_with(plan, cache)
+        cache.invalidate(compiled_plan_cache_key(plan))
+        stats = cache.stats
+        assert stats.hits >= 0
+        assert stats.corruptions == 0
+        assert list((tmp_path / "plans").glob("*.quarantine"))
+
     def test_memory_rebind_failure_falls_back_to_disk(
         self, base_matrix, tmp_path, monkeypatch
     ):

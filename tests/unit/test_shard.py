@@ -4,8 +4,10 @@ Covers the pure pieces in-process — partitioning, the wire round-trip of
 :class:`PlanSlice` payloads (including the regression demanded by ISSUE 10:
 non-trivial :class:`FadingSpec`\\ s and non-int seeds survive the trip, and
 slices never coalesce onto an unrelated plan's compiled-plan cache entry),
-result merging, and the CLI surface.  The subprocess orchestration itself is
-exercised by ``tests/property/test_property_shard.py``.
+result merging, the CLI surface, and the runner's start protocol (workers
+start at once and wait on stdin for their release).  The sharding
+invariants themselves are exercised by
+``tests/property/test_property_shard.py``.
 """
 
 import json
@@ -434,3 +436,170 @@ class TestDrain:
         assert time.monotonic() - started < 5.0
         assert process.returncode is not None  # reaped, not left running
         assert process.stdout.closed
+
+    def test_release_to_a_dead_worker_reads_its_exit_code(self):
+        # A worker that died before its release breaks the pipe: the write's
+        # BrokenPipeError is swallowed and the exit code decides.
+        import subprocess
+        import sys
+
+        from repro.shard.runner import _drain
+
+        process = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.exit(3)"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        process.wait()
+        code = _drain(process, 0, None, 30.0, payload="x" * (1 << 20))
+        assert code == 3
+        assert process.stdin.closed and process.stdout.closed
+
+
+def _one_entry_per_slice_plan(n_entries: int) -> SimulationPlan:
+    plan = SimulationPlan()
+    for index in range(n_entries):
+        plan.add(np.eye(2, dtype=complex) * (1.0 + index), seed=index, label=f"e{index}")
+    return plan
+
+
+@pytest.fixture()
+def spawned(monkeypatch):
+    """Record every worker process ``run_sharded`` starts, in spawn order."""
+    from repro.shard import runner
+
+    processes = []
+    real_spawn = runner._spawn
+
+    def _recording_spawn(out_prefix, **kwargs):
+        process = real_spawn(out_prefix, **kwargs)
+        processes.append((out_prefix.name, process))
+        return process
+
+    monkeypatch.setattr(runner, "_spawn", _recording_spawn)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    return processes
+
+
+class TestStartProtocol:
+    """Workers start at once, wait on stdin, and run only once released."""
+
+    def test_runner_keeps_its_traced_names(self):
+        from repro.shard import runner
+
+        for name in ("_spawn", "_drain", "_load_output", "partition_plan", "merge_results"):
+            assert callable(getattr(runner, name)), name
+
+    def test_unreleased_worker_exits_nonzero_and_touches_nothing(self, tmp_path):
+        from repro.shard.runner import _drain, _spawn, _worker_env
+
+        cache_dir = tmp_path / "cache"
+        process = _spawn(
+            tmp_path / "out" / "shard_0",
+            cache_dir=cache_dir,
+            backend=None,
+            env=_worker_env(None),
+        )
+        process.stdin.close()  # EOF before any payload: never released
+        lines = []
+        code = _drain(process, 0, lambda index, line: lines.append(line), 60.0)
+        assert code == 2
+        assert any("before a slice payload" in line for line in lines)
+        assert not cache_dir.exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_worker_dead_before_release_fails_by_index(
+        self, tmp_path, spawned, monkeypatch
+    ):
+        from repro.shard import run_sharded, runner
+
+        real_drain = runner._drain
+
+        def _kill_then_release(process, index, progress, timeout, payload=None):
+            if index == 1:
+                process.kill()
+                process.wait()
+            return real_drain(process, index, progress, timeout, payload)
+
+        monkeypatch.setattr(runner, "_drain", _kill_then_release)
+        result = run_sharded(
+            _one_entry_per_slice_plan(2),
+            8,
+            n_shards=2,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+        )
+        assert result.failed == (1,)
+        assert result.results[0] is not None and result.results[1] is None
+        assert all(process.returncode is not None for _, process in spawned)
+
+    def test_runner_error_kills_and_reaps_waiting_workers(self, tmp_path, spawned):
+        from repro.shard import run_sharded
+
+        def _explode(index, line):
+            raise RuntimeError(f"progress callback failed on shard {index}")
+
+        with pytest.raises(RuntimeError, match="shard 0"):
+            run_sharded(
+                _one_entry_per_slice_plan(3),
+                8,
+                n_shards=3,
+                cache_dir=tmp_path / "cache",
+                work_dir=tmp_path / "work",
+                progress=_explode,
+            )
+        # All three started at once; the two still waiting for their release
+        # were killed, and every worker was reaped.
+        assert [name for name, _ in spawned] == ["shard_0", "shard_1", "shard_2"]
+        assert all(process.returncode is not None for _, process in spawned)
+        assert all(process.returncode != 0 for _, process in spawned[1:])
+        assert not list((tmp_path / "work").glob("shard_[12].*"))
+
+    def test_error_in_a_concurrent_release_propagates(self, tmp_path, spawned):
+        from repro.shard import run_sharded
+
+        def _explode(index, line):
+            raise RuntimeError("progress callback failed")
+
+        with pytest.raises(RuntimeError, match="progress callback failed"):
+            run_sharded(
+                _one_entry_per_slice_plan(2),
+                8,
+                n_shards=2,
+                cache_dir=tmp_path / "cache",
+                work_dir=tmp_path / "work",
+                warm_first=False,
+                progress=_explode,
+            )
+        assert len(spawned) == 2
+        assert all(process.returncode is not None for _, process in spawned)
+
+    def test_timeout_counts_from_release_not_spawn(self, tmp_path, spawned, monkeypatch):
+        import time
+
+        from repro.shard import run_sharded, runner
+
+        timeout = 3.0
+        real_drain = runner._drain
+
+        def _slow_pathfinder(process, index, progress, timeout, payload=None):
+            if index == 0:
+                # Every worker, the waiting one included, outlives the
+                # timeout before its release.
+                time.sleep(timeout + 1.0)
+            return real_drain(process, index, progress, timeout, payload)
+
+        monkeypatch.setattr(runner, "_drain", _slow_pathfinder)
+        result = run_sharded(
+            _one_entry_per_slice_plan(2),
+            8,
+            n_shards=2,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+            timeout=timeout,
+        )
+        assert result.ok, result.failed
+        # The payload travelled over the pipe: no slice file was written.
+        assert not list((tmp_path / "work").glob("slice_*"))
